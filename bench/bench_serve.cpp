@@ -275,25 +275,6 @@ int main(int argc, char** argv) {
               << " attr_samples=" << attr_samples
               << " tagged_fraction=" << tagged_fraction << "\n";
 
-    // --- int8 replica: 3x float32 + 1x int8 voting at fleet scale --------
-    // The quantized fourth version shares version 0's Sequential and differs
-    // only in backend, so this configuration is the live regression surface
-    // for the batcher's (model, backend) queue keying: a mixed-backend flush
-    // would run half the batch through the wrong arithmetic and break the
-    // run-to-run hash. Two runs must hash identically, and every frame must
-    // see 4 planned versions.
-    serve::ModelSetConfig quad_config;
-    quad_config.backend = args.backend();
-    quad_config.int8_replica = true;
-    const serve::ModelSet quad = serve::make_model_set(quad_config);
-    const serve::FleetOptions quad_opts = nominal();
-    const serve::FleetResult quad_a = serve::run_fleet(quad, quad_opts);
-    const serve::FleetResult quad_b = serve::run_fleet(quad, quad_opts);
-    const bool quad_deterministic = quad_a.output_hash == quad_b.output_hash;
-    std::cout << "int8_replica: versions=" << quad.pointers.size()
-              << " frames=" << quad_a.frames << " decided=" << quad_a.decided
-              << " deterministic=" << (quad_deterministic ? "yes" : "no") << "\n";
-
     // --- Sweep: streams x frame rate -> p99 / shed rate ------------------
     struct SweepRow {
         int streams;
@@ -370,11 +351,6 @@ int main(int argc, char** argv) {
         << ", \"tagged_fraction\": " << tagged_fraction
         << ", \"sampled_enough\": " << (sampled_enough ? "true" : "false")
         << "},\n";
-    out << "  \"int8_replica\": {\"versions\": " << quad.pointers.size()
-        << ", \"deterministic\": " << (quad_deterministic ? "true" : "false")
-        << ", ";
-    emit_fleet(out, quad_a);
-    out << "},\n";
     out << "  \"sweep\": [\n";
     for (std::size_t i = 0; i < sweep.size(); ++i) {
         out << "    {\"streams\": " << sweep[i].streams
@@ -408,10 +384,6 @@ int main(int argc, char** argv) {
     }
     if (!fleet_json_deterministic) {
         std::cerr << "ERROR: /fleet document differs across identical runs\n";
-        return 1;
-    }
-    if (!quad_deterministic) {
-        std::cerr << "ERROR: int8-replica fleet is not run-to-run deterministic\n";
         return 1;
     }
     if (overload.shed_rate <= 0.0)

@@ -151,7 +151,6 @@ int serve_streams(const util::Args& args) {
 
     serve::ModelSetConfig set_config;
     set_config.backend = args.backend();
-    set_config.int8_replica = args.has("int8-replica");
     const serve::ModelSet set = serve::make_model_set(set_config);
     serve::Server server(set, options);
     std::string error;
@@ -161,12 +160,11 @@ int serve_streams(const util::Args& args) {
     }
     std::printf("serving perception streams on %s:%d "
                 "(max-streams %d, batch-max %d, batch-delay %llu us, "
-                "backend %s%s)\n",
+                "backend %s)\n",
                 options.host.c_str(), server.port(), options.max_streams,
                 options.batch_max,
                 static_cast<unsigned long long>(options.batch_delay_us),
-                set.backend_name.c_str(),
-                set_config.int8_replica ? " + int8 replica" : "");
+                set.backend_name.c_str());
     if (obs::Exporter::global().running())
         std::printf("fleet telemetry on 127.0.0.1:%d/fleet "
                     "(tools/fleet_top --port %d)\n",

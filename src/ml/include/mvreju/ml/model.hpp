@@ -89,8 +89,8 @@ public:
     [[nodiscard]] Tensor logits(const Tensor& input) const;
 
     /// logits() through an explicit backend, overriding the bound one for
-    /// this call only — how a quantized replica shares float32 weights with
-    /// its sibling version without cloning them.
+    /// this call only — one set of weights measured under several backends
+    /// without cloning them.
     [[nodiscard]] Tensor logits(const Tensor& input,
                                 const num::KernelBackend& kernels) const;
 
@@ -113,8 +113,9 @@ public:
                                       std::size_t num_threads = 1) const;
 
     /// logits_batch() through an explicit backend, overriding the bound one
-    /// for this call — the serving batcher uses this to flush each
-    /// (model, backend) queue through the backend the queue is keyed on.
+    /// for this call — how bench_ml and the backend equivalence suite run
+    /// one model through every registered backend. Serving always runs the
+    /// bound backend.
     [[nodiscard]] Tensor logits_batch(const Tensor& batch, Workspace& ws,
                                       std::size_t num_threads,
                                       const num::KernelBackend& kernels) const;

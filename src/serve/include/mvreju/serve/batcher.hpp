@@ -1,15 +1,12 @@
 #pragma once
 
 // Cross-stream dynamic batcher: the serving layer's throughput engine.
-// Sessions submit single samples destined for a (shared, const) model; the
-// batcher stages them per (model, kernel backend) pair and flushes a staged
-// batch through one Sequential::logits_batch call either when it reaches
-// max_batch (full flush, inside submit) or when its oldest sample has
-// waited max_delay_us (deadline flush, driven by the owner's clock through
-// flush_due). Keying on the backend as well as the model is load-bearing:
-// an int8 replica shares its float32 sibling's Sequential and differs only
-// in backend, and coalescing the two into one flush would run half the
-// batch through the wrong arithmetic.
+// The serve::Pipeline submits single samples destined for a (shared,
+// const) model; the batcher stages them per model and flushes a staged
+// batch through one Sequential::logits_batch call, on the model's bound
+// kernel backend, either when it reaches max_batch (full flush, inside
+// submit) or when its oldest sample has waited max_delay_us (deadline
+// flush, driven by the owner's clock through flush_due).
 //
 // Correctness contract: logits_batch guarantees every sample's logits are
 // bit-identical however the samples are batched and whatever num_threads is
@@ -18,10 +15,10 @@
 // label of model->predict(sample). tests/serve_batcher_test.cpp holds this
 // bit-exactly; the serve benchmark gates on it across a whole fleet.
 //
-// The batcher is passive and clock-agnostic: it never reads a clock, the
-// caller stamps submissions with `now_us` (virtual time in the deterministic
-// fleet, steady time in the socket server) and decides when to call
-// flush_due. Single-owner, not thread-safe — it lives on the service thread.
+// The batcher is passive and clock-agnostic: the caller stamps submissions
+// with `now_us` (virtual time in the deterministic fleet, steady time in
+// the socket server) and decides when to call flush_due. Single-owner, not
+// thread-safe — it lives on the service thread.
 
 #include <cstdint>
 #include <functional>
@@ -45,8 +42,8 @@ struct BatchStamp {
     /// submit or flush_due/flush_all call that caused it).
     std::uint64_t formed_us = 0;
     /// Inference interval, read from Options::now_fn around the
-    /// logits_batch call; both equal formed_us when no clock is provided
-    /// (the virtual-time fleet substitutes its own service model).
+    /// logits_batch call; both equal formed_us when no clock is provided.
+    /// The virtual-time fleet re-stamps it with its service-time model.
     std::uint64_t infer_start_us = 0;
     std::uint64_t infer_end_us = 0;
 };
@@ -65,21 +62,16 @@ public:
         /// Optional clock for the BatchStamp infer interval (the batcher
         /// stays clock-agnostic on the control path: deadlines still come
         /// from the caller's `now_us` stamps). Null keeps the stamp's
-        /// infer boundaries at formed_us — what the virtual-time fleet
-        /// wants, since it costs inference with its own service model.
+        /// infer boundaries at formed_us.
         std::function<std::uint64_t()> now_fn;
     };
 
     explicit DynamicBatcher(Options options);
 
-    /// Stage one sample (copied) for `model` run through `backend` (null
-    /// resolves to the model's own bound backend). Queues are keyed on the
-    /// (model, backend) pair — samples for the same weights but different
-    /// backends never share a flush. Flushes immediately when the pair's
-    /// queue reaches max_batch.
+    /// Stage one sample (copied) for `model`. Flushes immediately when the
+    /// model's queue reaches max_batch.
     void submit(const ml::Sequential* model, const float* sample,
-                std::uint64_t now_us, Completion done,
-                const num::KernelBackend* backend = nullptr);
+                std::uint64_t now_us, Completion done);
 
     /// Earliest deadline over all staged queues (oldest submit time +
     /// max_delay_us); nullopt when nothing is staged. The owner sleeps no
@@ -100,14 +92,13 @@ public:
 
 private:
     struct Queue {
-        const ml::Sequential* model = nullptr;
-        const num::KernelBackend* backend = nullptr;  ///< queue key, never null
+        const ml::Sequential* model = nullptr;  ///< queue key
         std::vector<float> staging;        ///< size() = count * sample_size
         std::vector<Completion> done;      ///< one per staged sample
         std::uint64_t oldest_us = 0;       ///< submit stamp of the first sample
     };
 
-    Queue& queue_for(const ml::Sequential* model, const num::KernelBackend* backend);
+    Queue& queue_for(const ml::Sequential* model);
     std::size_t flush_queue(Queue& queue, std::uint64_t formed_us);
 
     Options options_;

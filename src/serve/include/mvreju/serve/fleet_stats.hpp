@@ -4,9 +4,9 @@
 // into fleet percentiles, top-K worst-stream ranking, and per-stage SLO
 // breach attribution — the read side of the FrameTrace stamps.
 //
-// The owner (run_fleet's driver loop or the socket Server's service thread)
-// calls observe() once per finished frame with the frame's FrameTrace and
-// outcome; to_json() renders the /fleet document for the exporter. Both
+// serve::Pipeline, on its driver's thread (run_fleet's loop or the socket
+// Server's service thread), calls observe() once per finished frame with
+// the frame's FrameTrace and outcome; to_json() renders the /fleet document for the exporter. Both
 // take caller time (`now_us`) and never read a clock, so a seeded
 // virtual-time fleet renders a byte-identical document on every rerun —
 // the property tests/serve_fleet_stats_test.cpp pins.

@@ -1,26 +1,25 @@
 #pragma once
 
-// The fleet-scale serving front end: a serve::Server accepts any number of
-// client connections (one perception stream each) on a net::EventLoop,
-// parses length-prefixed request frames, routes every functional version's
-// inference through the shared cross-stream DynamicBatcher, and answers
-// with the voter's decision. One service thread owns everything — loop,
-// sessions, batcher, overload control — so there is no locking on the
+// The fleet-scale serving front end: the socket driver of serve::Pipeline.
+// A serve::Server accepts any number of client connections (one perception
+// stream each) on a net::EventLoop, parses length-prefixed request frames,
+// hands each one to the pipeline on the steady clock, and sends the
+// pipeline's reply back on the frame's connection. One service thread owns
+// everything — loop, sessions, pipeline — so there is no locking on the
 // serving path; parallelism comes from logits_batch fanning a coalesced
 // batch across worker threads.
 //
-// Admission and overload policy:
-//  - beyond max_streams, new connections get one `error` response and are
-//    closed (admission refusal);
-//  - when the SLO breach rate trips the OverloadControl, frames are served
-//    degraded — the primary version only, no cross-check — and each one
-//    leaves a load_shed flight event and a serve.shed.degraded count;
-//  - beyond max_inflight staged frames, requests are answered `shed`
-//    without running inference at all (dropped).
+// What the server adds to the pipeline's frame path (pipeline.hpp: vote,
+// degraded and dropped shedding, SLO verdicts, stage traces):
+//  - admission refusal: beyond max_streams, new connections get one `error`
+//    response and are closed;
+//  - protocol errors: a malformed frame gets one `error` response, then the
+//    connection closes;
+//  - the /fleet and /healthz documents, pushed to the global exporter on a
+//    publish_interval_us throttle, and the Stats counters.
 //
-// The deterministic twin of this class is synthetic.hpp's fleet; the socket
-// server trades its virtual clock for the steady clock and its outcome hash
-// for live clients, but shares every policy component.
+// run_fleet (synthetic.hpp) drives the same pipeline on a virtual clock,
+// so its seeded determinism gates cover the path clients talk to.
 
 #include <cstdint>
 #include <memory>
@@ -63,6 +62,10 @@ public:
         core::VotingScheme scheme = core::VotingScheme::majority;
     };
 
+    /// The outcome counters (decided through slo_breaches) count the
+    /// pipeline's replies. A frame whose stream closes before its vote gets
+    /// no reply and is not counted, so `degraded` can trail the
+    /// serve.shed.degraded metric, which counts at admission.
     struct Stats {
         std::uint64_t frames = 0;
         std::uint64_t decided = 0;

@@ -10,11 +10,9 @@
 // thousand sessions are a thousand health processes over one set of weights.
 //
 // A Session exposes the split-phase frame API: begin_frame() yields the
-// plan (which versions run, in which behaviour), the owner routes one
-// inference per functional version through the cross-stream DynamicBatcher,
-// and complete_frame() votes over the labels that come back. process() is
-// the inline, unbatched reference path — bit-identical results by the
-// logits_batch invariant, which the batcher tests pin down.
+// plan (which versions run, in which behaviour), serve::Pipeline routes one
+// inference per running version through the cross-stream DynamicBatcher,
+// and complete_frame() votes over the labels that come back.
 
 #include <cstdint>
 #include <memory>
@@ -30,16 +28,11 @@
 namespace mvreju::serve {
 
 /// Pointer table into the shared models, indexed by version: the batcher
-/// needs the raw Sequential *and* the kernel backend for a (version, health
-/// state) pair. Versions may share one Sequential and differ only in
-/// backend — the int8 replica runs version 0's float32 weights through the
-/// quantized kernels — which is why the batcher keys its staging queues on
-/// (model, backend), never on the model alone.
+/// needs the raw Sequential for a (version, health state) pair. Each
+/// version runs on its own model's bound kernel backend.
 struct StreamModelPool {
     std::vector<const ml::Sequential*> healthy;
     std::vector<const ml::Sequential*> compromised;
-    /// Kernel backend per version (applies to both health states).
-    std::vector<const num::KernelBackend*> backends;
 
     [[nodiscard]] std::size_t size() const noexcept { return healthy.size(); }
 
@@ -49,9 +42,10 @@ struct StreamModelPool {
         return s == core::ModuleState::healthy ? healthy.at(m) : compromised.at(m);
     }
 
-    /// The kernel backend version `m` dispatches through.
+    /// The kernel backend version `m` dispatches through (both health
+    /// states share it).
     [[nodiscard]] const num::KernelBackend& backend_for(std::size_t m) const {
-        return *backends.at(m);
+        return healthy.at(m)->backend();
     }
 };
 
@@ -85,10 +79,6 @@ struct ModelSetConfig {
     /// num::select_backend ("" → MVREJU_BACKEND env → scalar, with CPUID
     /// fallback). Unknown names throw.
     std::string backend;
-    /// Register a fourth version that runs version 0's float32 weights
-    /// through the int8 quantized kernels — arithmetic diversity joining
-    /// the weight-diverse trio in the vote.
-    bool int8_replica = false;
 };
 
 /// The paper's diverse trio (LeNet/AlexNet/ResNet stand-ins) with one
@@ -133,19 +123,9 @@ public:
         return core::is_functional(s) ? models_->model_for(m, s) : nullptr;
     }
 
-    /// The kernel backend version `m` dispatches through (pairs with
-    /// model_for to form the batcher's queue key).
-    [[nodiscard]] const num::KernelBackend& backend_for(std::size_t m) const {
-        return models_->backend_for(m);
-    }
-
     /// Index of the primary version for the degraded (load-shedding) path:
     /// the lowest-indexed functional version, or -1 when none.
     [[nodiscard]] static int primary_version(const core::FramePlan& plan);
-
-    /// Inline unbatched reference: begin_frame -> predict() per functional
-    /// version -> complete_frame. Bit-identical to the batched path.
-    [[nodiscard]] SessionResult process(double time, const ml::Tensor& input);
 
     [[nodiscard]] const core::HealthEngine& health() const noexcept {
         return system_.health();

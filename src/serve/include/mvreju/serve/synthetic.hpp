@@ -1,15 +1,16 @@
 #pragma once
 
-// Deterministic synthetic serving fleet: a discrete-event, virtual-time
-// driver for the whole serving stack (sessions + cross-stream batcher +
-// overload control) with no sockets and no wall clock in the control path.
+// Deterministic synthetic serving fleet: the discrete-event, virtual-time
+// driver of serve::Pipeline, the same frame path the socket Server drives,
+// with no sockets and no wall clock in the control path.
 //
 // Seeded synthetic clients arrive on a virtual microsecond clock; the
 // engine's service time is a *virtual* cost model (base + per-frame cost,
-// queued behind the previous batch), so SLO breaches, shedding decisions
-// and per-frame latencies are pure functions of the seed and options —
-// two runs with the same options produce byte-identical results, including
-// the output hash over every (stream, frame) outcome. The actual inference
+// queued behind the previous batch) that re-stamps each flush's infer
+// interval, so SLO breaches, shedding decisions and per-frame latencies are
+// pure functions of the seed and options — two runs with the same options
+// produce byte-identical results, including the output hash over every
+// (stream, frame) outcome. The actual inference
 // still runs for real, which is what makes the hash meaningful (labels are
 // the models' labels) and what the wall_ms throughput measurement times.
 //
@@ -36,7 +37,7 @@ struct FleetOptions {
     int frames_per_stream = 32;
     std::uint64_t seed = 1;        ///< arrival phases + sample contents
 
-    /// Batching policy (the fleet builds the DynamicBatcher itself).
+    /// Batching policy (the fleet's Pipeline builds the DynamicBatcher).
     int batch_max = 64;
     std::uint64_t batch_delay_us = 2000;
     std::size_t infer_threads = 1;

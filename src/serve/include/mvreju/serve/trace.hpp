@@ -2,9 +2,9 @@
 
 // Per-frame stage trace for the serving layer: one monotonic microsecond
 // timestamp per stage boundary, stamped as a frame moves rx -> queue ->
-// batch-formation -> infer -> vote -> tx through FrameParser/Session/
-// DynamicBatcher/Server (steady-clock time) or the synthetic fleet
-// (virtual time, so traces are byte-deterministic under a seed).
+// batch-formation -> infer -> vote -> tx through serve::Pipeline on its
+// driver's clock: steady time in the socket Server, virtual time in the
+// synthetic fleet (so traces are byte-deterministic under a seed).
 //
 // The derived per-stage durations feed three consumers: the WindowedDigest
 // aggregation in serve::FleetStats (fleet percentiles per stage, breach

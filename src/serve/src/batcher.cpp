@@ -19,19 +19,16 @@ DynamicBatcher::DynamicBatcher(Options options)
         throw std::invalid_argument("DynamicBatcher: empty input shape");
 }
 
-DynamicBatcher::Queue& DynamicBatcher::queue_for(const ml::Sequential* model,
-                                                 const num::KernelBackend* backend) {
+DynamicBatcher::Queue& DynamicBatcher::queue_for(const ml::Sequential* model) {
     for (Queue& q : queues_)
-        if (q.model == model && q.backend == backend) return q;
-    queues_.push_back(Queue{model, backend, {}, {}, 0});
+        if (q.model == model) return q;
+    queues_.push_back(Queue{model, {}, {}, 0});
     return queues_.back();
 }
 
 void DynamicBatcher::submit(const ml::Sequential* model, const float* sample,
-                            std::uint64_t now_us, Completion done,
-                            const num::KernelBackend* backend) {
-    if (backend == nullptr) backend = &model->backend();
-    Queue& queue = queue_for(model, backend);
+                            std::uint64_t now_us, Completion done) {
+    Queue& queue = queue_for(model);
     if (queue.done.empty()) queue.oldest_us = now_us;
     queue.staging.insert(queue.staging.end(), sample, sample + sample_size_);
     queue.done.push_back(std::move(done));
@@ -81,7 +78,6 @@ std::size_t DynamicBatcher::flush_all(std::uint64_t now_us) {
 std::size_t DynamicBatcher::flush_queue(Queue& queue, std::uint64_t formed_us) {
     const std::size_t n = queue.done.size();
     const ml::Sequential* model = queue.model;
-    const num::KernelBackend* backend = queue.backend;
     // Steal the staged batch first: completions may re-submit — including
     // for an unseen model, which reallocates queues_ and dangles `queue` —
     // so nothing below may touch the Queue reference again.
@@ -118,7 +114,7 @@ std::size_t DynamicBatcher::flush_queue(Queue& queue, std::uint64_t formed_us) {
         ml::Tensor batch = ws.take(std::move(shape));
         std::memcpy(batch.data().data(), staged.data() + pos * sample_size_,
                     nb * sample_size_ * sizeof(float));
-        ml::Tensor logits = model->logits_batch(batch, ws, 1, *backend);
+        ml::Tensor logits = model->logits_batch(batch, ws, 1);
         const std::size_t classes = logits.size() / nb;
         const float* rows = logits.data().data();
         for (std::size_t i = 0; i < nb; ++i) {

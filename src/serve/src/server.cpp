@@ -6,7 +6,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -14,13 +13,11 @@
 #include "mvreju/net/event_loop.hpp"
 #include "mvreju/net/listener.hpp"
 #include "mvreju/obs/exporter.hpp"
-#include "mvreju/obs/flight_recorder.hpp"
 #include "mvreju/obs/metrics.hpp"
 #include "mvreju/obs/profiler.hpp"
-#include "mvreju/serve/batcher.hpp"
 #include "mvreju/serve/fleet_stats.hpp"
+#include "mvreju/serve/pipeline.hpp"
 #include "mvreju/serve/protocol.hpp"
-#include "mvreju/serve/trace.hpp"
 
 namespace mvreju::serve {
 
@@ -28,7 +25,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 }
 
-struct Server::Impl {
+struct Server::Impl final : Pipeline::Driver {
     const ModelSet& set;
     Options options;
 
@@ -48,53 +45,54 @@ struct Server::Impl {
         explicit Client(std::size_t sample_size) : parser(sample_size) {}
     };
 
-    struct InFlight {
-        std::uint64_t stream_id = 0;
-        std::uint64_t request_id = 0;  ///< client frame id, echoed back
-        core::FramePlan plan;
-        std::vector<std::optional<int>> proposals;
-        int remaining = 0;
-        std::uint64_t arrival_us = 0;
-        bool degraded = false;
-        bool want_trace = false;  ///< client asked for the stage annex
-        FrameTrace trace;
-    };
-
-    DynamicBatcher batcher;
-    OverloadControl overload;
+    /// The frame path: built by start(), dropped with its staged frames by
+    /// stop().
+    std::optional<Pipeline> pipeline;
     FleetStats fleet_stats;
     std::uint64_t last_publish_us = 0;
     std::unordered_map<std::uint64_t, Client> clients;
-    std::unordered_map<std::uint64_t, InFlight> inflight;
     /// Clients whose connection closed mid-callback. on_close() extracts the
     /// node instead of erasing so that Client& references held further up
-    /// the stack (on_data's dispatch loop, finalize) stay valid; the nodes
-    /// are destroyed at the top of the next serve_loop tick.
+    /// the stack (on_data's dispatch loop) stay valid; the nodes are
+    /// destroyed at the top of the next serve_loop tick.
     std::vector<std::unordered_map<std::uint64_t, Client>::node_type> graveyard;
     std::vector<std::weak_ptr<net::Conn>> refused;  ///< closing after refusal
     std::uint64_t next_stream_id = 1;
-    std::uint64_t next_frame_key = 1;
 
     mutable std::mutex stats_mutex;
     Stats stats_snapshot;
 
     Impl(const ModelSet& model_set, const Options& server_options)
-        : set(model_set),
-          options(server_options),
-          batcher(DynamicBatcher::Options{server_options.batch_max,
-                                          server_options.batch_delay_us,
-                                          server_options.infer_threads,
-                                          model_set.input_shape,
-                                          [this] { return now_us(); }}),
-          overload(server_options.overload) {
-        fleet_stats.set_backend(model_set.backend_name);
-    }
+        : set(model_set), options(server_options) {}
 
-    [[nodiscard]] std::uint64_t now_us() const {
+    std::uint64_t now_us() override {
         return static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                   epoch)
                 .count());
+    }
+
+    Session* session(std::uint64_t stream) override {
+        const auto it = clients.find(stream);
+        return it == clients.end() ? nullptr : it->second.session.get();
+    }
+
+    void reply(const Pipeline::Reply& reply) override {
+        bump([&reply](Stats& s) {
+            switch (reply.response.status) {
+                case ResponseStatus::decided: ++s.decided; break;
+                case ResponseStatus::skipped: ++s.skipped; break;
+                case ResponseStatus::no_output: ++s.no_output; break;
+                case ResponseStatus::shed: ++s.dropped; break;
+                case ResponseStatus::error: break;
+            }
+            if (reply.response.degraded) ++s.degraded;
+            if (reply.breach) ++s.slo_breaches;
+        });
+        // A frame admitted in the same on_data pass as its stream's close
+        // answers into the graveyard: nobody is listening.
+        const auto it = clients.find(reply.stream);
+        if (it != clients.end()) respond(it->second, reply.response);
     }
 
     template <typename Fn>
@@ -169,19 +167,22 @@ struct Server::Impl {
         // Stage tags scope the sampling profiler's CPU attribution: samples
         // landing while a scope is live are charged to its stage, so /fleet's
         // cpu_by_stage mirrors the FrameTrace stage names. Nested scopes
-        // (finalize -> respond) charge the innermost stage.
+        // (the pipeline's vote, respond's tx) charge the innermost stage.
         MVREJU_PROFILE_STAGE(profile_scope, "parse");
         auto it = clients.find(id);
         if (it == clients.end()) return;
         Client& client = it->second;
         std::vector<RequestFrame> requests;
         const bool ok = client.parser.consume(client.conn->rx(), requests);
-        for (RequestFrame& request : requests) handle_frame(client, request);
+        for (const RequestFrame& request : requests) {
+            bump([](Stats& s) { ++s.frames; });
+            pipeline->admit(*client.session, request.frame_id, request.image.data(),
+                            request.want_trace);
+        }
         if (!ok) {
             // Protocol violation: one error response naming nothing (the
             // offending frame has no trustworthy id), then close. The
-            // stream's inflight frames finalize harmlessly against the
-            // erased client.
+            // stream's inflight frames finish harmlessly without a session.
             static obs::Counter& errors =
                 obs::metrics().counter("serve.protocol_errors");
             errors.add(1);
@@ -189,213 +190,6 @@ struct Server::Impl {
             respond(client, ResponseFrame{});
             client.conn->close_after_send();
         }
-    }
-
-    void handle_frame(Client& client, RequestFrame& request) {
-        const std::uint64_t arrival = now_us();
-        const double t_s = static_cast<double>(arrival) * 1e-6;
-        core::FramePlan plan = client.session->begin_frame(t_s);
-        bump([](Stats& s) { ++s.frames; });
-
-        ResponseFrame response;
-        response.frame_id = request.frame_id;
-        response.functional_modules =
-            static_cast<std::uint32_t>(plan.functional_modules);
-
-        if (plan.functional_modules == 0) {
-            const SessionResult result = client.session->complete_frame(
-                plan, std::vector<std::optional<int>>(plan.states.size()));
-            response.status = ResponseStatus::no_output;
-            response.agreeing = static_cast<std::uint16_t>(result.agreeing);
-            overload.record(false);
-            bump([](Stats& s) { ++s.no_output; });
-            FrameTrace trace;
-            trace.stamp(TracePoint::rx, arrival);
-            trace.stamp(TracePoint::vote, now_us());
-            trace.stamp(TracePoint::tx, now_us());
-            if (request.want_trace) {
-                response.has_trace = true;
-                response.stage_us = trace.breakdown_us();
-            }
-            respond(client, response);
-            observe_frame(client.conn->tag, request.frame_id, trace,
-                          response.status, false);
-            return;
-        }
-
-        if (inflight.size() >= options.max_inflight) {
-            static obs::Counter& dropped =
-                obs::metrics().counter("serve.shed.dropped");
-            dropped.add(1);
-            MVREJU_OBS_EVENT_AT(arrival * 1000, obs::EventKind::load_shed,
-                                request.frame_id,
-                                static_cast<std::uint32_t>(client.conn->tag), 2.0,
-                                overload.breach_fraction());
-            overload.record(true);
-            response.status = ResponseStatus::shed;
-            bump([](Stats& s) { ++s.dropped; });
-            FrameTrace trace;
-            trace.stamp(TracePoint::rx, arrival);
-            trace.stamp(TracePoint::tx, now_us());
-            if (request.want_trace) {
-                response.has_trace = true;
-                response.stage_us = trace.breakdown_us();
-            }
-            respond(client, response);
-            observe_frame(client.conn->tag, request.frame_id, trace,
-                          response.status, false);
-            return;
-        }
-
-        const bool degrade = options.shedding && overload.overloaded();
-        const int primary = Session::primary_version(plan);
-        const std::uint64_t stream_id = client.conn->tag;
-
-        // Resolve the models up front: once the first submit happens a full
-        // batch may flush synchronously, run on_label, and erase this frame
-        // from `inflight` — so nothing below may hold references into it
-        // across a submit.
-        std::vector<std::tuple<std::size_t, const ml::Sequential*,
-                               const num::KernelBackend*>>
-            to_submit;
-        for (std::size_t m = 0; m < plan.states.size(); ++m) {
-            if (degrade && static_cast<int>(m) != primary) continue;
-            const ml::Sequential* model =
-                client.session->model_for(m, plan.states[m]);
-            if (model != nullptr)
-                to_submit.emplace_back(m, model, &client.session->backend_for(m));
-        }
-
-        const std::uint64_t key = next_frame_key++;
-        InFlight& frame = inflight[key];
-        frame.stream_id = stream_id;
-        frame.request_id = request.frame_id;
-        frame.proposals.assign(plan.states.size(), std::nullopt);
-        frame.arrival_us = arrival;
-        frame.degraded = degrade;
-        frame.want_trace = request.want_trace;
-        frame.remaining = static_cast<int>(to_submit.size());
-        frame.plan = std::move(plan);
-        frame.trace.stamp(TracePoint::rx, arrival);
-
-        if (degrade) {
-            static obs::Counter& shed =
-                obs::metrics().counter("serve.shed.degraded");
-            shed.add(1);
-            MVREJU_OBS_EVENT_AT(arrival * 1000, obs::EventKind::load_shed,
-                                request.frame_id,
-                                static_cast<std::uint32_t>(stream_id), 1.0,
-                                overload.breach_fraction());
-            bump([](Stats& s) { ++s.degraded; });
-        }
-
-        if (to_submit.empty()) {
-            // Every eligible module was non-functional: vote over an empty
-            // proposal set right away instead of leaving the frame stranded.
-            finalize(frame);
-            inflight.erase(key);
-            return;
-        }
-        // enqueue closes the parse stage: plan + model resolution above,
-        // batcher staging below.
-        frame.trace.stamp(TracePoint::enqueue, now_us());
-        for (const auto& [m, model, backend] : to_submit) {
-            batcher.submit(
-                model, request.image.data(), arrival,
-                [this, key, m = m](int label, const BatchStamp& stamp) {
-                    on_label(key, m, label, stamp);
-                },
-                backend);
-        }
-    }
-
-    void on_label(std::uint64_t key, std::size_t module, int label,
-                  const BatchStamp& stamp) {
-        auto it = inflight.find(key);
-        if (it == inflight.end()) return;
-        InFlight& frame = it->second;
-        frame.proposals[module] = label;
-        // Monotone stamps: a frame fanned over several batches keeps the
-        // boundaries of the last flush that carried one of its versions.
-        frame.trace.stamp(TracePoint::formed, stamp.formed_us);
-        frame.trace.stamp(TracePoint::infer_start, stamp.infer_start_us);
-        frame.trace.stamp(TracePoint::infer_end, stamp.infer_end_us);
-        if (--frame.remaining > 0) return;
-        finalize(frame);
-        inflight.erase(it);
-    }
-
-    void finalize(InFlight& frame) {
-        MVREJU_PROFILE_STAGE(profile_scope, "vote");
-        auto it = clients.find(frame.stream_id);
-        if (it == clients.end()) return;  // stream disconnected mid-flight
-        Client& client = it->second;
-        const SessionResult result =
-            client.session->complete_frame(frame.plan, std::move(frame.proposals));
-        frame.trace.stamp(TracePoint::vote, now_us());
-
-        const double latency_ms =
-            static_cast<double>(now_us() - frame.arrival_us) / 1000.0;
-        const bool breach = latency_ms > options.slo_budget_ms;
-        if (breach) {
-            static obs::Counter& breaches =
-                obs::metrics().counter("serve.slo_breach");
-            breaches.add(1);
-            MVREJU_OBS_EVENT_AT(now_us() * 1000, obs::EventKind::slo_breach,
-                                frame.request_id,
-                                static_cast<std::uint32_t>(frame.stream_id),
-                                latency_ms, options.slo_budget_ms);
-            bump([](Stats& s) { ++s.slo_breaches; });
-        }
-        overload.record(breach);
-
-        ResponseFrame response;
-        response.frame_id = frame.request_id;
-        response.status = static_cast<ResponseStatus>(result.kind);
-        response.degraded = frame.degraded;
-        response.agreeing = static_cast<std::uint16_t>(result.agreeing);
-        response.label = result.label;
-        response.functional_modules =
-            static_cast<std::uint32_t>(result.functional_modules);
-        bump([&result](Stats& s) {
-            switch (result.kind) {
-                case core::VoteKind::decided: ++s.decided; break;
-                case core::VoteKind::skipped: ++s.skipped; break;
-                case core::VoteKind::no_output: ++s.no_output; break;
-            }
-        });
-        // The wire annex is stamped just before serialisation — it cannot
-        // include its own send; FleetStats sees the same trace.
-        frame.trace.stamp(TracePoint::tx, now_us());
-        if (frame.want_trace) {
-            response.has_trace = true;
-            response.stage_us = frame.trace.breakdown_us();
-        }
-        respond(client, response);
-        observe_frame(frame.stream_id, frame.request_id, frame.trace,
-                      response.status, frame.degraded, latency_ms,
-                      options.slo_budget_ms);
-    }
-
-    /// Fold one finished frame into the fleet telemetry and refresh the
-    /// exporter documents when the publish interval has elapsed. Runs on
-    /// the service thread; the exporter only ever sees rendered strings.
-    void observe_frame(std::uint64_t stream, std::uint64_t frame_id,
-                       const FrameTrace& trace, ResponseStatus status,
-                       bool degraded, double latency_ms = 0.0,
-                       double slo_budget_ms = 0.0) {
-        if (!options.publish_telemetry) return;
-        const std::uint64_t now = now_us();
-        FrameObservation fo;
-        fo.stream = static_cast<std::uint32_t>(stream);
-        fo.frame = frame_id;
-        fo.trace = trace;
-        fo.status = status;
-        fo.degraded = degraded;
-        fo.latency_ms = latency_ms;
-        fo.slo_budget_ms = slo_budget_ms;
-        fleet_stats.observe(fo, now);
-        maybe_publish(now);
     }
 
     /// Throttled push of /fleet JSON and the aggregated health report to
@@ -471,6 +265,7 @@ struct Server::Impl {
     }
 
     void serve_loop() {
+        DynamicBatcher& batcher = pipeline->batcher();
         while (!loop->stop_requested()) {
             graveyard.clear();  // no Client& references live between ticks
             int timeout = options.tick_ms;
@@ -483,7 +278,8 @@ struct Server::Impl {
             }
             if (loop->poll_once(timeout) < 0) break;
             batcher.flush_due(now_us());
-            // Keep the exporter documents fresh even when no frames flow.
+            // Refresh the exporter documents with whatever the tick's frames
+            // folded in, and keep them fresh when no frames flow.
             if (options.publish_telemetry) maybe_publish(now_us());
         }
     }
@@ -514,6 +310,9 @@ bool Server::start(std::string* error) {
     }
     impl_->bound_port = impl_->listener->port();
     impl_->epoch = Clock::now();
+    impl_->pipeline.emplace(
+        impl_->set, Pipeline::Options::from(impl_->options), *impl_,
+        impl_->options.publish_telemetry ? &impl_->fleet_stats : nullptr);
     impl_->started = true;
     impl_->thread = std::thread([this] { impl_->serve_loop(); });
     return true;
@@ -536,7 +335,7 @@ void Server::stop() {
     for (auto& weak : impl_->refused)
         if (auto conn = weak.lock()) conn->close();
     impl_->refused.clear();
-    impl_->inflight.clear();
+    impl_->pipeline.reset();
     impl_->listener.reset();
     impl_->loop.reset();
     impl_->started = false;

@@ -37,7 +37,6 @@ ModelSet make_model_set(const ModelSetConfig& config) {
         (void)fi::random_weight_inj(*twin, 0, -10.0f, 30.0f, inject_seed);
         set.pointers.healthy.push_back(pristine.get());
         set.pointers.compromised.push_back(twin.get());
-        set.pointers.backends.push_back(&fleet_backend);
         set.storage.push_back(std::move(pristine));
         set.storage.push_back(std::move(twin));
     };
@@ -51,28 +50,13 @@ ModelSet make_model_set(const ModelSetConfig& config) {
                                       config.seed + 2),
                 config.seed + 12);
 
-    if (config.int8_replica) {
-        // The quantized replica owns no weights: it is version 0's float32
-        // parameters (and compromised twin) dispatched through the int8
-        // kernels. Diversity comes from the arithmetic, not the weights —
-        // and sharing one Sequential across two backends is exactly the
-        // aliasing the batcher's (model, backend) queue key exists for.
-        const num::KernelBackend* int8 = num::find_backend("int8");
-        set.pointers.healthy.push_back(set.pointers.healthy[0]);
-        set.pointers.compromised.push_back(set.pointers.compromised[0]);
-        set.pointers.backends.push_back(int8);
-    }
-
     std::vector<core::VersionSpec<ml::Tensor, int>> specs;
     for (std::size_t m = 0; m < set.pointers.size(); ++m) {
         const ml::Sequential* healthy = set.pointers.healthy[m];
         const ml::Sequential* compromised = set.pointers.compromised[m];
-        const num::KernelBackend* kb = set.pointers.backends[m];
         specs.push_back(core::VersionSpec<ml::Tensor, int>{
-            [healthy, kb](const ml::Tensor& x) { return healthy->predict(x, *kb); },
-            [compromised, kb](const ml::Tensor& x) {
-                return compromised->predict(x, *kb);
-            }});
+            [healthy](const ml::Tensor& x) { return healthy->predict(x); },
+            [compromised](const ml::Tensor& x) { return compromised->predict(x); }});
     }
     set.behaviours = std::make_shared<const ModelSet::Pool>(std::move(specs));
     set.input_shape = {config.channels, config.side, config.side};
@@ -105,20 +89,6 @@ int Session::primary_version(const core::FramePlan& plan) {
     for (std::size_t m = 0; m < plan.states.size(); ++m)
         if (core::is_functional(plan.states[m])) return static_cast<int>(m);
     return -1;
-}
-
-SessionResult Session::process(double time, const ml::Tensor& input) {
-    const core::FramePlan plan = begin_frame(time);
-    std::vector<std::optional<int>> proposals;
-    proposals.reserve(plan.states.size());
-    for (std::size_t m = 0; m < plan.states.size(); ++m) {
-        const ml::Sequential* model = model_for(m, plan.states[m]);
-        if (model == nullptr)
-            proposals.emplace_back(std::nullopt);
-        else
-            proposals.emplace_back(model->predict(input, backend_for(m)));
-    }
-    return complete_frame(plan, std::move(proposals));
 }
 
 }  // namespace mvreju::serve

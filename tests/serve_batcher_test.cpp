@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "mvreju/ml/model.hpp"
-#include "mvreju/num/backend.hpp"
 #include "mvreju/serve/batcher.hpp"
 #include "mvreju/util/rng.hpp"
 
@@ -150,60 +149,6 @@ TEST(ServeBatcherTest, BatchedLabelsBitIdenticalToPredict) {
                     << " threads " << threads;
             }
         }
-    }
-}
-
-TEST(ServeBatcherTest, MixedBackendReplicasNeverShareAFlush) {
-    // The int8 diversity replica aliases version 0's Sequential and differs
-    // only in its backend pointer (serve::make_model_set). Queues are keyed
-    // on (model, backend): coalescing float32 and int8 frames of the same
-    // architecture into one flush would silently run half the batch through
-    // the wrong kernels.
-    const ml::Sequential model = ml::make_tiny_lenet(3, 16, 8, 7);
-    const num::KernelBackend* f32 = &num::scalar_backend();
-    const num::KernelBackend* int8 = num::find_backend("int8");
-    ASSERT_NE(int8, nullptr);
-
-    serve::DynamicBatcher batcher(options_with(6, 1'000'000));
-    util::Rng rng(16);
-    std::vector<std::vector<float>> samples;
-    for (int i = 0; i < 6; ++i) samples.push_back(random_sample(rng, 3 * 16 * 16));
-
-    std::vector<int> f32_labels, int8_labels;
-    std::vector<serve::BatchStamp> f32_stamps, int8_stamps;
-    for (int i = 0; i < 3; ++i) {  // interleave the two replicas
-        batcher.submit(&model, samples[static_cast<std::size_t>(2 * i)].data(), 0,
-                       [&](int label, const serve::BatchStamp& stamp) {
-                           f32_labels.push_back(label);
-                           f32_stamps.push_back(stamp);
-                       },
-                       f32);
-        batcher.submit(&model, samples[static_cast<std::size_t>(2 * i + 1)].data(), 0,
-                       [&](int label, const serve::BatchStamp& stamp) {
-                           int8_labels.push_back(label);
-                           int8_stamps.push_back(stamp);
-                       },
-                       int8);
-    }
-    // Six pending frames of one architecture, max_batch 6 — but two
-    // distinct (model, backend) queues of 3, so neither may flush yet.
-    EXPECT_EQ(batcher.pending(), 6u);
-    EXPECT_TRUE(f32_labels.empty());
-    EXPECT_TRUE(int8_labels.empty());
-
-    batcher.flush_all();
-    ASSERT_EQ(f32_labels.size(), 3u);
-    ASSERT_EQ(int8_labels.size(), 3u);
-    // Each flush was a pure single-backend batch...
-    for (const auto& stamp : f32_stamps) EXPECT_EQ(stamp.size, 3u);
-    for (const auto& stamp : int8_stamps) EXPECT_EQ(stamp.size, 3u);
-    EXPECT_NE(f32_stamps[0].seq, int8_stamps[0].seq);
-    // ...and every label matches that backend's unbatched predict().
-    for (int i = 0; i < 3; ++i) {
-        const ml::Tensor even({3, 16, 16}, samples[static_cast<std::size_t>(2 * i)]);
-        const ml::Tensor odd({3, 16, 16}, samples[static_cast<std::size_t>(2 * i + 1)]);
-        EXPECT_EQ(f32_labels[static_cast<std::size_t>(i)], model.predict(even, *f32));
-        EXPECT_EQ(int8_labels[static_cast<std::size_t>(i)], model.predict(odd, *int8));
     }
 }
 

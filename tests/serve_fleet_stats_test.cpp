@@ -1,12 +1,14 @@
 // Tests for the fleet telemetry aggregator: byte-identical /fleet
 // documents from reruns of a seeded virtual-time fleet (and no outcome
-// perturbation from attaching the stats at all), SLO-breach attribution
+// perturbation from attaching the stats at all), the seeded document
+// pinned to a recorded checksum, SLO-breach attribution
 // to the dominant pipeline stage, the deterministic worst-stream
 // ordering, and the bounded-stage rule that keeps frames which never
 // reached a stage out of its digest.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -19,7 +21,13 @@ namespace {
 using namespace mvreju;
 
 const serve::ModelSet& shared_set() {
-    static const serve::ModelSet set = serve::make_model_set();
+    // The scalar oracle, named explicitly so MVREJU_BACKEND cannot move the
+    // recorded checksum below.
+    static const serve::ModelSet set = [] {
+        serve::ModelSetConfig config;
+        config.backend = "scalar";
+        return serve::make_model_set(config);
+    }();
     return set;
 }
 
@@ -105,6 +113,34 @@ TEST(ServeFleetStatsTest, SeededFleetDocumentByteIdentical) {
     EXPECT_EQ(ra.output_hash, plain.output_hash);
     EXPECT_EQ(ra.output_hash, rb.output_hash);
 }
+
+#ifndef MVREJU_OBS_DISABLED
+
+/// FNV-1a over the document up to its "build" stamp, which names the
+/// checkout and build type and so differs between builds by design.
+std::uint64_t document_checksum(const std::string& doc) {
+    const std::size_t end = doc.find(",\n\"build\": ");
+    EXPECT_NE(end, std::string::npos);
+    std::uint64_t hash = 1469598103934665603ull;
+    for (std::size_t i = 0; i < std::min(end, doc.size()); ++i) {
+        hash ^= static_cast<unsigned char>(doc[i]);
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+TEST(ServeFleetStatsTest, SeededFleetDocumentMatchesRecordedChecksum) {
+    // Rerun equality cannot see a change that moves every run alike. This
+    // checksum was recorded before the socket server and the fleet were
+    // merged onto one frame path; a refactor that moves it has changed the
+    // document.
+    serve::FleetStats stats;
+    (void)serve::run_fleet(shared_set(), small_fleet(), &stats);
+    EXPECT_EQ(document_checksum(stats.to_json(1'000'000, /*include_meta=*/false)),
+              12284939691186927336ull);
+}
+
+#endif  // MVREJU_OBS_DISABLED
 
 TEST(ServeFleetStatsTest, BuildStampIsAlwaysPresent) {
     // The "build" block names the binary in every document — including the

@@ -1,10 +1,17 @@
 // Tests for the deterministic synthetic fleet and the overload controller:
 // run-to-run determinism, bit-identical outcomes for batched vs unbatched
 // serving of the same seeded inputs, load shedding under overload with
-// recovery when load drops, and the hysteresis of OverloadControl itself.
+// recovery when load drops, outcomes pinned to recorded constants, the
+// frame ids on load_shed events, and the hysteresis of OverloadControl
+// itself.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <utility>
+
+#include "mvreju/obs/flight_recorder.hpp"
 #include "mvreju/serve/overload.hpp"
 #include "mvreju/serve/session.hpp"
 #include "mvreju/serve/synthetic.hpp"
@@ -14,7 +21,13 @@ namespace {
 using namespace mvreju;
 
 const serve::ModelSet& shared_set() {
-    static const serve::ModelSet set = serve::make_model_set();
+    // The scalar oracle, named explicitly so MVREJU_BACKEND cannot move the
+    // recorded constants below.
+    static const serve::ModelSet set = [] {
+        serve::ModelSetConfig config;
+        config.backend = "scalar";
+        return serve::make_model_set(config);
+    }();
     return set;
 }
 
@@ -29,6 +42,55 @@ serve::FleetOptions small_fleet() {
     options.shedding = false;  // equivalence configuration
     options.slo_budget_ms = 1e9;
     return options;
+}
+
+/// Saturating virtual service times: the engine falls behind at once.
+serve::FleetOptions overload_fleet() {
+    serve::FleetOptions options;
+    options.streams = 64;
+    options.frame_rate_hz = 100.0;
+    options.frames_per_stream = 30;
+    options.seed = 9;
+    options.batch_max = 8;
+    options.batch_delay_us = 2000;
+    options.service_base_us = 4000.0;
+    options.service_per_frame_us = 500.0;
+    options.slo_budget_ms = 5.0;
+    options.shedding = true;
+    return options;
+}
+
+/// Batches pile up behind a far deadline into a tiny inflight budget.
+serve::FleetOptions hard_cap_fleet() {
+    serve::FleetOptions options = small_fleet();
+    options.shedding = true;
+    options.slo_budget_ms = 5.0;
+    options.batch_delay_us = 1'000'000;
+    options.batch_max = 1024;
+    options.max_inflight = 8;
+    return options;
+}
+
+struct PinnedOutcome {
+    std::uint64_t output_hash;
+    std::uint64_t decided;
+    std::uint64_t skipped;
+    std::uint64_t no_output;
+    std::uint64_t degraded;
+    std::uint64_t dropped;
+    std::uint64_t slo_breaches;
+    std::uint64_t batch_flushes;
+};
+
+void expect_pinned(const serve::FleetResult& r, const PinnedOutcome& want) {
+    EXPECT_EQ(r.output_hash, want.output_hash);
+    EXPECT_EQ(r.decided, want.decided);
+    EXPECT_EQ(r.skipped, want.skipped);
+    EXPECT_EQ(r.no_output, want.no_output);
+    EXPECT_EQ(r.degraded, want.degraded);
+    EXPECT_EQ(r.dropped, want.dropped);
+    EXPECT_EQ(r.slo_breaches, want.slo_breaches);
+    EXPECT_EQ(r.batch_flushes, want.batch_flushes);
 }
 
 TEST(ServeFleetTest, DeterministicUnderSeed) {
@@ -82,17 +144,7 @@ TEST(ServeFleetTest, MultiThreadFlushMatchesSerial) {
 TEST(ServeFleetTest, OverloadShedsAndLightLoadDoesNot) {
     // Saturating virtual service times trip the SLO controller: a large
     // share of frames must go out degraded (single-version) or dropped.
-    serve::FleetOptions heavy;
-    heavy.streams = 64;
-    heavy.frame_rate_hz = 100.0;
-    heavy.frames_per_stream = 30;
-    heavy.seed = 9;
-    heavy.batch_max = 8;
-    heavy.batch_delay_us = 2000;
-    heavy.service_base_us = 4000.0;   // engine saturates immediately
-    heavy.service_per_frame_us = 500.0;
-    heavy.slo_budget_ms = 5.0;
-    heavy.shedding = true;
+    const serve::FleetOptions heavy = overload_fleet();
     const serve::FleetResult overload = serve::run_fleet(shared_set(), heavy);
     EXPECT_GT(overload.shed_rate, 0.2);
     EXPECT_GT(overload.degraded, 0u);
@@ -111,17 +163,63 @@ TEST(ServeFleetTest, OverloadShedsAndLightLoadDoesNot) {
 }
 
 TEST(ServeFleetTest, HardCapDropsFrames) {
-    serve::FleetOptions options = small_fleet();
-    options.shedding = true;
-    options.slo_budget_ms = 5.0;
-    options.batch_delay_us = 1'000'000;  // batches pile up...
-    options.batch_max = 1024;
-    options.max_inflight = 8;            // ...into a tiny inflight budget
-    const serve::FleetResult result = serve::run_fleet(shared_set(), options);
+    const serve::FleetResult result = serve::run_fleet(shared_set(), hard_cap_fleet());
     EXPECT_GT(result.dropped, 0u);
     EXPECT_EQ(result.decided + result.skipped + result.no_output + result.dropped,
               result.frames);
 }
+
+TEST(ServeFleetTest, OutcomesMatchRecordedConstants) {
+    // Every other gate compares one run against another, so a change that
+    // moves every run alike would pass them. These constants were recorded
+    // before the socket server and the fleet were merged onto one frame
+    // path; a refactor that moves them has changed behaviour.
+    // {output_hash, decided, skipped, no_output, degraded, dropped,
+    //  slo_breaches, batch_flushes}
+    expect_pinned(serve::run_fleet(shared_set(), small_fleet()),
+                  {10281762187170132651ull, 14, 274, 0, 0, 0, 0, 198});
+    expect_pinned(serve::run_fleet(shared_set(), overload_fleet()),
+                  {16140063751357787626ull, 1884, 36, 0, 1883, 0, 1920, 251});
+    expect_pinned(serve::run_fleet(shared_set(), hard_cap_fleet()),
+                  {4470350689529957635ull, 0, 8, 0, 0, 280, 8, 3});
+}
+
+#ifndef MVREJU_OBS_DISABLED
+
+TEST(ServeFleetTest, DropEventsNameTheDroppedFrame) {
+    // A load_shed event with a == 2 marks a frame refused at the inflight
+    // cap. Its (module, frame) must be that frame's (stream, frame index),
+    // the pair FrameObservation carries, so each drop names one frame.
+    obs::set_enabled(true);
+    obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+    recorder.clear();
+    recorder.set_enabled(true);
+    const serve::FleetOptions options = hard_cap_fleet();
+    const serve::FleetResult result = serve::run_fleet(shared_set(), options);
+    recorder.set_enabled(false);
+
+    std::set<std::pair<std::uint32_t, std::uint64_t>> dropped;
+    std::uint64_t drop_events = 0;
+    for (const auto& thread : recorder.snapshot()) {
+        // The ring keeps the newest kRingCapacity events; none may be lost.
+        ASSERT_LT(thread.events.size(), obs::FlightRecorder::kRingCapacity);
+        for (const obs::EventRecord& event : thread.events) {
+            if (event.kind != obs::EventKind::load_shed || event.a != 2.0) continue;
+            ++drop_events;
+            EXPECT_LT(event.module, static_cast<std::uint32_t>(options.streams));
+            EXPECT_LT(event.frame,
+                      static_cast<std::uint64_t>(options.frames_per_stream));
+            EXPECT_TRUE(dropped.emplace(event.module, event.frame).second)
+                << "stream " << event.module << " frame " << event.frame
+                << " dropped twice";
+        }
+    }
+    recorder.clear();
+    EXPECT_GT(result.dropped, 0u);
+    EXPECT_EQ(drop_events, result.dropped);
+}
+
+#endif  // MVREJU_OBS_DISABLED
 
 TEST(ServeFleetTest, SynchronousCompletionDoesNotLeakInflight) {
     // With batch_max = 1 every frame completes synchronously inside its own

@@ -1,7 +1,8 @@
 // End-to-end tests for serve::Server over real sockets: request/response
 // round trips with echoed frame ids, cross-stream batching of concurrent
-// clients, admission control beyond max_streams, and clean stop with
-// connections open.
+// clients, admission control beyond max_streams, the two load-shedding
+// paths (hard-cap drops and degraded single-version replies), and clean
+// stop with connections open.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,11 @@ namespace {
 
 using namespace mvreju;
 
+const serve::ModelSet& shared_set() {
+    static const serve::ModelSet set = serve::make_model_set();
+    return set;
+}
+
 int connect_to(int port) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
@@ -35,21 +41,36 @@ int connect_to(int port) {
     return fd;
 }
 
-/// Receive exactly one length-prefixed response frame.
-bool recv_response(int fd, serve::ResponseFrame& response) {
-    std::string received;
-    char buf[256];
-    while (received.size() < 24) {
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n <= 0) return false;
-        received.append(buf, static_cast<std::size_t>(n));
+/// Read exactly `n` bytes; false on timeout or close.
+bool recv_exact(int fd, unsigned char* out, std::size_t n) {
+    while (n > 0) {
+        const ssize_t got = ::recv(fd, out, n, 0);
+        if (got <= 0) return false;
+        out += got;
+        n -= static_cast<std::size_t>(got);
     }
-    return serve::decode_response(received.data() + 4, received.size() - 4, response);
+    return true;
 }
 
-const serve::ModelSet& shared_set() {
-    static const serve::ModelSet set = serve::make_model_set();
-    return set;
+/// Receive exactly one length-prefixed response frame, leaving any later
+/// frame on the socket.
+bool recv_response(int fd, serve::ResponseFrame& response) {
+    unsigned char prefix[4];
+    if (!recv_exact(fd, prefix, sizeof prefix)) return false;
+    const std::size_t length = prefix[0] | (prefix[1] << 8) | (prefix[2] << 16) |
+                               (static_cast<std::size_t>(prefix[3]) << 24);
+    std::vector<unsigned char> payload(length);
+    return recv_exact(fd, payload.data(), length) &&
+           serve::decode_response(reinterpret_cast<const char*>(payload.data()),
+                                  length, response);
+}
+
+std::string random_request(util::Rng& rng, std::uint64_t frame_id) {
+    serve::RequestFrame request;
+    request.frame_id = frame_id;
+    request.image.resize(shared_set().sample_size());
+    for (float& v : request.image) v = static_cast<float>(rng.uniform());
+    return serve::encode_request(request);
 }
 
 serve::Server::Options fast_options() {
@@ -169,6 +190,76 @@ TEST(ServeServerTest, RefusesStreamsBeyondMaxStreams) {
 
     EXPECT_GE(server.stats().admission_refusals, 1u);
     for (const int fd : {first, second, third}) ::close(fd);
+    server.stop();
+}
+
+TEST(ServeServerTest, DropsFramesBeyondMaxInflight) {
+    // The first frame waits out a long batch deadline; the second arrives
+    // while it is still staged, finds the one inflight slot taken, and is
+    // answered `shed` at once without running inference.
+    serve::Server::Options options = fast_options();
+    options.max_inflight = 1;
+    options.batch_delay_us = 300'000;
+    serve::Server server(shared_set(), options);
+    ASSERT_TRUE(server.start());
+
+    const int fd = connect_to(server.port());
+    util::Rng rng(23);
+    const std::string wire = random_request(rng, 1) + random_request(rng, 2);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+    for (int i = 0; i < 2; ++i) {
+        serve::ResponseFrame response;
+        ASSERT_TRUE(recv_response(fd, response));
+        if (response.frame_id == 2) {
+            EXPECT_EQ(response.status, serve::ResponseStatus::shed);
+        } else {
+            EXPECT_EQ(response.frame_id, 1u);
+            EXPECT_TRUE(response.status == serve::ResponseStatus::decided ||
+                        response.status == serve::ResponseStatus::skipped);
+        }
+        EXPECT_FALSE(response.degraded);
+    }
+    ::close(fd);
+
+    const serve::Server::Stats stats = server.stats();
+    EXPECT_EQ(stats.frames, 2u);
+    EXPECT_EQ(stats.dropped, 1u);
+    server.stop();
+}
+
+TEST(ServeServerTest, DegradesOnceTheOverloadControllerLatches) {
+    // Every frame waits at least batch_delay_us for its deadline flush, so
+    // every frame breaches a 1 ns budget. A window of 4 latches after two
+    // breaches (half a window of evidence); from the third frame on, the
+    // server answers from the primary version alone, flagged degraded.
+    serve::Server::Options options = fast_options();
+    options.slo_budget_ms = 1e-6;
+    options.overload.window = 4;
+    serve::Server server(shared_set(), options);
+    ASSERT_TRUE(server.start());
+
+    const int fd = connect_to(server.port());
+    util::Rng rng(24);
+    constexpr std::uint64_t kFrames = 6;
+    for (std::uint64_t frame = 1; frame <= kFrames; ++frame) {
+        const std::string wire = random_request(rng, frame);
+        ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+                  static_cast<ssize_t>(wire.size()));
+        serve::ResponseFrame response;
+        ASSERT_TRUE(recv_response(fd, response));
+        EXPECT_EQ(response.frame_id, frame);
+        EXPECT_NE(response.status, serve::ResponseStatus::error);
+        EXPECT_NE(response.status, serve::ResponseStatus::shed);
+        EXPECT_EQ(response.degraded, frame > 2) << "frame " << frame;
+    }
+    ::close(fd);
+
+    const serve::Server::Stats stats = server.stats();
+    EXPECT_GT(stats.degraded, 0u);
+    EXPECT_EQ(stats.degraded, kFrames - 2);
+    EXPECT_EQ(stats.slo_breaches, kFrames);
+    EXPECT_EQ(stats.dropped, 0u);
     server.stop();
 }
 
