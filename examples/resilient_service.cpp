@@ -1,13 +1,14 @@
-// Resilient inference service: the threaded active-replication runtime.
-// Three classifier versions run on their own worker threads behind the
-// trusted voter with a per-frame response deadline. We then attack the
-// replicas one by one -- corrupt a weight, wedge a worker -- and rejuvenate
-// them back to health while the service keeps answering.
+// Resilient inference service: three classifier versions behind the
+// trusted voter, with the paper's health process (compromise, crash,
+// reactive and time-triggered proactive rejuvenation) running underneath in
+// simulated time. We attack the replicas one by one -- compromise one, crash
+// another -- and the engine's own rejuvenation brings them back to health
+// while the service keeps answering.
 //
 // This is also the flagship *live* observability target: with --serve the
 // embedded exporter makes the service scrapeable while it runs, and with
-// --flight every deadline miss or vote disagreement leaves a postmortem
-// dump behind.
+// --flight every vote disagreement or silent frame leaves a postmortem dump
+// behind.
 //
 //   ./build/examples/resilient_service
 //       [--serve <port>]       live /metrics, /healthz, /record endpoint
@@ -62,7 +63,7 @@
 #include <vector>
 
 #include "mvreju/av/simulation.hpp"
-#include "mvreju/core/runtime.hpp"
+#include "mvreju/core/system.hpp"
 #include "mvreju/data/signs.hpp"
 #include "mvreju/fi/inject.hpp"
 #include "mvreju/ml/model.hpp"
@@ -79,61 +80,57 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// What we *know* about each replica from the attacks we scripted; the
-/// /healthz document mirrors this (the runtime itself only sees deadline
-/// misses, it cannot distinguish a compromised replica from a healthy one).
-struct ServiceHealth {
-    std::vector<std::string> states;  // "healthy" | "compromised" | "nonfunctional"
-    Clock::time_point started = Clock::now();
-    Clock::time_point last_rejuvenation{};  // epoch: none yet
+using Service = core::MultiVersionSystem<ml::Tensor, int>;
 
-    explicit ServiceHealth(std::size_t replicas) : states(replicas, "healthy") {}
+/// Simulated seconds between two classifications.
+constexpr double kFrameDt = 0.1;
 
-    void publish() const {
-        obs::Exporter& exporter = obs::Exporter::global();
-        if (!exporter.running()) return;
-        obs::HealthReport report;
-        report.module_states = states;
-        for (const std::string& s : states) {
-            if (s == "healthy")
-                ++report.healthy;
-            else if (s == "compromised")
-                ++report.compromised;
-            else if (s == "rejuvenating")
-                ++report.rejuvenating;
-            else
-                ++report.nonfunctional;
-        }
-        if (last_rejuvenation != Clock::time_point{})
-            report.last_rejuvenation_age_s =
-                std::chrono::duration<double>(Clock::now() - last_rejuvenation).count();
-        exporter.set_health(report);
-    }
-};
+/// Push the engine's module states to the live /healthz endpoint (no-op
+/// unless --serve started the exporter).
+void publish_health(const core::HealthEngine& health) {
+    obs::Exporter& exporter = obs::Exporter::global();
+    if (exporter.running()) exporter.set_health(core::health_report(health));
+}
 
-/// Serve `count` classifications and report the outcome mix.
-void serve_phase(core::RuntimeSystem<ml::Tensor, int>& service, const ml::Dataset& test,
-           int count, const char* label, const ServiceHealth& health) {
+/// Outcome mix of a run of served classifications.
+struct Tally {
     int decided = 0;
     int correct = 0;
     int skipped = 0;
     int silent = 0;
-    for (int i = 0; i < count; ++i) {
-        const std::size_t k = static_cast<std::size_t>(i) % test.size();
-        const auto vote = service.process(test.images[k]);
-        switch (vote.kind) {
-            case core::VoteKind::decided:
-                ++decided;
-                correct += (*vote.value == test.labels[k]);
-                break;
-            case core::VoteKind::skipped: ++skipped; break;
-            case core::VoteKind::no_output: ++silent; break;
-        }
-        health.publish();  // /healthz freshness: at most one frame old
+
+    void print(const char* label) const {
+        std::printf("%-34s %3d decided (%.2f correct), %d skipped, %d silent\n", label,
+                    decided, decided ? static_cast<double>(correct) / decided : 0.0,
+                    skipped, silent);
     }
-    std::printf("%-34s %3d decided (%.2f correct), %d skipped, %d silent\n", label,
-                decided, decided ? static_cast<double>(correct) / decided : 0.0,
-                skipped, silent);
+};
+
+/// Classify test image `i` at simulated time `clock`, then advance the clock
+/// by one frame.
+void serve_frame(Service& service, double& clock, const ml::Dataset& test,
+                 std::size_t i, Tally& tally) {
+    const std::size_t k = i % test.size();
+    const auto frame = service.process(clock, test.images[k]);
+    clock += kFrameDt;
+    switch (frame.vote.kind) {
+        case core::VoteKind::decided:
+            ++tally.decided;
+            tally.correct += (*frame.vote.value == test.labels[k]);
+            break;
+        case core::VoteKind::skipped: ++tally.skipped; break;
+        case core::VoteKind::no_output: ++tally.silent; break;
+    }
+    publish_health(service.health());  // /healthz freshness: one frame old
+}
+
+/// Serve `count` classifications and report the outcome mix.
+void serve_phase(Service& service, double& clock, const ml::Dataset& test, int count,
+                 const char* label) {
+    Tally tally;
+    for (int i = 0; i < count; ++i)
+        serve_frame(service, clock, test, static_cast<std::size_t>(i), tally);
+    tally.print(label);
 }
 
 /// --serve-streams: host a fleet of concurrent perception streams over the
@@ -299,68 +296,66 @@ int main(int argc, char** argv) try {
         model.train(dataset.train, tc);
     }
 
-    // Module behaviours capture pointers into the pristine `models` vector
-    // ("safe storage"): inference is stateless and thread-safe on a shared
-    // const model, so the worker threads need no private copies and
-    // rejuvenation just points a replica back at pristine weights.
-    auto version_fn = [](const ml::Sequential* model) {
-        return [model](const ml::Tensor& x) { return model->predict(x); };
-    };
+    // Each version's compromised behaviour is its weight-injected twin. The
+    // behaviours capture const pointers: inference is stateless on a shared
+    // const model, and rejuvenation simply returns a version to `models`.
+    std::vector<ml::Sequential> twins;
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        twins.push_back(models[m]);
+        (void)fi::random_weight_inj(twins.back(), 0, -10.0f, 30.0f, 7 + m);
+    }
+    std::vector<core::VersionSpec<ml::Tensor, int>> specs;
+    for (std::size_t m = 0; m < models.size(); ++m)
+        specs.push_back({[model = &models[m]](const ml::Tensor& x) { return model->predict(x); },
+                         [model = &twins[m]](const ml::Tensor& x) { return model->predict(x); }});
+    // Table IV timing: stochastic compromises are rare on the demo's time
+    // scale, and the proactive clock fires every 300 s of simulated time.
+    core::HealthEngineConfig health_cfg;
+    health_cfg.policy = core::VictimPolicy::two_thirds_compromised;
+    health_cfg.seed = 2024;
+    Service service(std::move(specs), core::VotingScheme::majority, health_cfg);
+    double clock = 0.0;
 
-    core::RuntimeSystem<ml::Tensor, int>::Options options;
-    options.deadline = 100ms;
-    core::RuntimeSystem<ml::Tensor, int> service(
-        {version_fn(&models[0]), version_fn(&models[1]), version_fn(&models[2])},
-        core::Voter<int>{}, options);
-
-    ServiceHealth health(3);
     if (session.serving())
         std::printf("serving /metrics /healthz /record on 127.0.0.1:%d\n",
                     obs::Exporter::global().port());
-    health.publish();
 
-    serve_phase(service, dataset.test, count, "all replicas healthy:", health);
+    serve_phase(service, clock, dataset.test, count, "all replicas healthy:");
 
-    // Attack 1: corrupt a weight of replica 0 (it keeps answering, wrongly).
-    // `corrupted` outlives the swap below, as pointer captures require.
-    ml::Sequential corrupted = models[0];
-    (void)fi::random_weight_inj(corrupted, 0, -10.0f, 30.0f, 7);
-    service.rejuvenate(0, version_fn(&corrupted));  // "attack" swap
-    health.states[0] = "compromised";
-    serve_phase(service, dataset.test, count, "replica 0 compromised:", health);
+    // Attack 1: compromise replica 0 (it keeps answering, wrongly).
+    service.health().force_compromise(0);
+    serve_phase(service, clock, dataset.test, count, "replica 0 compromised:");
 
-    // Attack 2: wedge replica 1 entirely (never answers again).
-    service.rejuvenate(1, [](const ml::Tensor& x) -> int {
-        std::this_thread::sleep_for(3600s);
-        return static_cast<int>(x.size());  // unreachable
-    });
-    health.states[1] = "nonfunctional";
-    serve_phase(service, dataset.test, count / 2, "replica 1 wedged as well:", health);
-    std::printf("  replica 1 deadline misses so far: %zu\n", service.timeouts(1));
+    // Attack 2: crash replica 1. No operator acts from here on: the engine
+    // repairs the crash reactively and its proactive clock eventually
+    // rejuvenates the compromised replica.
+    service.health().force_failure(1);
+    const double attacked_at = clock;
+    Tally recovery;
+    for (std::size_t i = 0; service.health().counts().healthy < 3; ++i)
+        serve_frame(service, clock, dataset.test, i, recovery);
+    recovery.print("replica 1 crashed, recovering:");
+    const core::HealthStats& stats = service.health().stats();
+    std::printf("  all replicas healthy again after %.1f s (simulated): %zu reactive, "
+                "%zu proactive rejuvenations\n",
+                service.health().now() - attacked_at, stats.reactive_rejuvenations,
+                stats.proactive_rejuvenations);
 
-    // Rejuvenation: reload both from pristine storage. Replica 0 is repaired
-    // reactively (we know it is compromised); replica 1 proactively (from the
-    // runtime's view it merely stopped answering).
-    service.rejuvenate(0, version_fn(&models[0]), core::RejuvenationCause::reactive);
-    service.rejuvenate(1, version_fn(&models[1]), core::RejuvenationCause::proactive);
-    health.states[0] = health.states[1] = "healthy";
-    health.last_rejuvenation = Clock::now();
-    serve_phase(service, dataset.test, count, "after rejuvenation:", health);
-
-    std::printf("total rejuvenations performed: %zu\n", service.rejuvenations());
+    serve_phase(service, clock, dataset.test, count, "after rejuvenation:");
 
     // --hold-seconds: keep the service alive and answering so an external
     // scraper (the CI smoke test, or a human with curl) can watch it live.
     if (hold_seconds > 0.0) {
         std::printf("holding for %.1f s...\n", hold_seconds);
+        std::fflush(stdout);
         const auto deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                                  std::chrono::duration<double>(hold_seconds));
-        std::size_t i = 0;
-        while (Clock::now() < deadline) {
-            (void)service.process(dataset.test.images[i++ % dataset.test.size()]);
-            health.publish();
+        Tally held;
+        for (std::size_t i = 0; Clock::now() < deadline; ++i) {
+            serve_frame(service, clock, dataset.test, i, held);
             std::this_thread::sleep_for(50ms);
         }
+        held.print("while holding:");
     }
     return 0;
 } catch (const mvreju::util::ArgError& e) {

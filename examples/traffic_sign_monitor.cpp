@@ -32,31 +32,7 @@ struct StreamResult {
 /// endpoint (no-op unless --serve started the exporter).
 void publish_health(const core::HealthEngine& health) {
     obs::Exporter& exporter = obs::Exporter::global();
-    if (!exporter.running()) return;
-    obs::HealthReport report;
-    for (int m = 0; m < health.module_count(); ++m) {
-        switch (health.state(m)) {
-            case core::ModuleState::healthy:
-                ++report.healthy;
-                report.module_states.emplace_back("healthy");
-                break;
-            case core::ModuleState::compromised:
-                ++report.compromised;
-                report.module_states.emplace_back("compromised");
-                break;
-            case core::ModuleState::nonfunctional:
-                ++report.nonfunctional;
-                report.module_states.emplace_back("nonfunctional");
-                break;
-            case core::ModuleState::rejuvenating_proactive:
-                ++report.rejuvenating;
-                report.module_states.emplace_back("rejuvenating");
-                break;
-        }
-    }
-    if (health.last_rejuvenation_time() >= 0.0)
-        report.last_rejuvenation_age_s = health.now() - health.last_rejuvenation_time();
-    exporter.set_health(report);
+    if (exporter.running()) exporter.set_health(core::health_report(health));
 }
 
 StreamResult run_stream(const std::vector<ml::Sequential>& healthy,

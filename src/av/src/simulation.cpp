@@ -71,19 +71,7 @@ RunMetrics run_scenario(const Route& route, const DetectorSet& detectors,
 
     util::Rng root(config.seed);
     util::Rng sensor_rng = root.split(1);
-
-    // Health process (Section VII-A parameters, 2/3-prioritise policy).
-    core::HealthEngineConfig health_cfg;
-    health_cfg.modules = config.versions;
-    health_cfg.proactive = config.rejuvenation;
-    health_cfg.policy = config.victim_policy;
-    health_cfg.timing.mttc = config.mttc;
-    health_cfg.timing.mttf = config.mttf;
-    health_cfg.timing.reactive_duration = config.reactive_duration;
-    health_cfg.timing.proactive_duration = config.proactive_duration;
-    health_cfg.timing.rejuvenation_interval = config.rejuvenation_interval;
-    health_cfg.seed = root.split(2)();
-    core::HealthEngine health(health_cfg);
+    const auto versions = static_cast<std::size_t>(config.versions);
 
     // Traffic: stop-and-go lead vehicles spaced along the route.
     std::vector<NpcVehicle> npcs;
@@ -101,16 +89,46 @@ RunMetrics run_scenario(const Route& route, const DetectorSet& detectors,
     // Active corrupted variant per module; re-drawn on each compromise event
     // (PyTorchFI runtime perturbation: every attack corrupts differently).
     util::Rng variant_rng = root.split(4);
-    std::vector<std::size_t> active_variant(static_cast<std::size_t>(config.versions), 0);
-    std::vector<core::ModuleState> previous_state(
-        static_cast<std::size_t>(config.versions), core::ModuleState::healthy);
+    std::vector<std::size_t> active_variant(versions, 0);
+    // Healthy weights corrupted by scenario `inject` events (lazily deep-
+    // copied); reset when the module completes rejuvenation, which models
+    // reloading pristine weights from safe storage.
+    std::vector<std::optional<ml::Sequential>> injected(versions);
+
+    // The multi-version system: each version's behaviours read this run's
+    // detector state, so a healthy version runs its injected copy when there
+    // is one and a compromised version its drawn variant. Health process of
+    // Section VII-A (2/3-prioritise policy).
+    std::vector<core::VersionSpec<ml::Tensor, Detection>> specs;
+    for (std::size_t m = 0; m < versions; ++m) {
+        specs.push_back(
+            {[&detectors, &injected, m](const ml::Tensor& x) {
+                 return detect(injected[m] ? *injected[m] : detectors.healthy[m], x);
+             },
+             [&detectors, &active_variant, m](const ml::Tensor& x) {
+                 return detect(detectors.compromised[m][active_variant[m]].model, x);
+             }});
+    }
+    core::HealthEngineConfig health_cfg;
+    health_cfg.modules = config.versions;
+    health_cfg.proactive = config.rejuvenation;
+    health_cfg.policy = config.victim_policy;
+    health_cfg.timing.mttc = config.mttc;
+    health_cfg.timing.mttf = config.mttf;
+    health_cfg.timing.reactive_duration = config.reactive_duration;
+    health_cfg.timing.proactive_duration = config.proactive_duration;
+    health_cfg.timing.rejuvenation_interval = config.rejuvenation_interval;
+    health_cfg.seed = root.split(2)();
+    core::MultiVersionSystem<ml::Tensor, Detection, DetectionNear> system(
+        std::move(specs), config.voting, health_cfg);
+    core::HealthEngine& health = system.health();
+    const core::VersionPool<ml::Tensor, Detection>& pool = *system.pool();
 
     EgoVehicle ego(route.point_at(0.0), route.heading_at(0.0));
     Localizer localizer(ego.position(), ego.heading());
     util::Rng gnss_rng = root.split(5);
     double next_gnss = 0.0;
     Planner planner(config.planner);
-    core::Voter<Detection, DetectionNear> voter(config.voting);
     double s_hint = 0.0;
 
     // Scenario replay and the degraded-mode machinery (ROADMAP item 3). The
@@ -122,11 +140,6 @@ RunMetrics run_scenario(const Route& route, const DetectorSet& detectors,
         player.emplace(*config.scenario, root.split(6)());
     TrustMonitor trust(config.trust);
     DegradedModeController degraded(config.versions, config.policy);
-    // Healthy weights corrupted by scenario `inject` events (lazily deep-
-    // copied); reset when the module completes rejuvenation, which models
-    // reloading pristine weights from safe storage.
-    std::vector<std::optional<ml::Sequential>> injected(
-        static_cast<std::size_t>(config.versions));
     double trust_sum = 0.0;
 
     RunMetrics metrics;
@@ -140,6 +153,8 @@ RunMetrics run_scenario(const Route& route, const DetectorSet& detectors,
         MVREJU_OBS_SPAN(frame_span, "av.frame");
         frame_span.arg("frame", static_cast<double>(frame));
         const double now = frame * config.dt;
+        // Advance every frame, stop frames included, so scripted weight
+        // faults reach the engine at their own time, before the frame's plan.
         health.advance_to(now);
         // Flight-recorder events are stamped with the simulated clock so
         // dumps from seeded runs replay deterministically.
@@ -226,47 +241,38 @@ RunMetrics run_scenario(const Route& route, const DetectorSet& detectors,
                 input = &pooled;
                 ++metrics.reduced_frames;
             }
-            std::vector<std::optional<Detection>> proposals;
-            proposals.reserve(static_cast<std::size_t>(config.versions));
-            for (int m = 0; m < config.versions; ++m) {
-                const auto mu = static_cast<std::size_t>(m);
-                const core::ModuleState state = health.state(m);
+            // Stop frames make no plan, so the health snapshot (and with it
+            // every transition below) is taken on perceived frames only.
+            const core::FramePlan plan = system.begin_frame(now, frame_id);
+            std::vector<std::optional<Detection>> proposals(versions);
+            std::uint64_t frame_inferences = 0;
+            for (std::size_t m = 0; m < versions; ++m) {
+                const core::ModuleState state = plan.states[m];
+                const core::ModuleState before = plan.previous_states[m];
                 if (state == core::ModuleState::compromised &&
-                    previous_state[mu] != core::ModuleState::compromised) {
+                    before != core::ModuleState::compromised) {
                     // Fresh compromise: draw which corruption this attack causes.
-                    active_variant[mu] =
-                        variant_rng.uniform_int(detectors.compromised[mu].size());
+                    active_variant[m] =
+                        variant_rng.uniform_int(detectors.compromised[m].size());
                 }
-                if (state == core::ModuleState::healthy &&
-                    !core::is_functional(previous_state[mu]))
-                    injected[mu].reset();  // rejuvenated: pristine weights
-                previous_state[mu] = state;
-                if (!core::is_functional(state)) {
-                    proposals.emplace_back(std::nullopt);
-                    continue;
-                }
-                if (config.trust_policy && degraded.version_dropped(m)) {
+                if (state == core::ModuleState::healthy && !core::is_functional(before))
+                    injected[m].reset();  // rejuvenated: pristine weights
+                if (!core::is_functional(state)) continue;
+                if (config.trust_policy && degraded.version_dropped(static_cast<int>(m))) {
                     // Policy rung 1: a persistently dissenting version is
                     // excluded from the vote until its dissent decays.
-                    proposals.emplace_back(std::nullopt);
                     ++metrics.dropped_proposals;
                     tel.degraded_dropped.add();
                     continue;
                 }
-                const auto& model =
-                    (state == core::ModuleState::healthy)
-                        ? (injected[mu] ? *injected[mu] : detectors.healthy[mu])
-                        : detectors.compromised[mu][active_variant[mu]].model;
-                proposals.emplace_back(detect(model, *input));
-                ++metrics.inferences;
+                proposals[m] = pool.behaviour(m, state)(*input);
+                ++frame_inferences;
             }
-            const auto vote = voter.vote(proposals);
+            const auto vote = system.complete_frame(plan, proposals).vote;
             const double perceive_seconds =
                 std::chrono::duration<double>(Clock::now() - t0).count();
             metrics.perception_wall_seconds += perceive_seconds;
-            std::uint64_t frame_inferences = 0;
-            for (const auto& p : proposals)
-                if (p.has_value()) ++frame_inferences;
+            metrics.inferences += frame_inferences;
             tel.inferences.add(frame_inferences);
             tel.perceive_ms.record(perceive_seconds * 1e3);
             // SLO: the perceive+vote stage must fit inside one frame period.
@@ -296,15 +302,11 @@ RunMetrics run_scenario(const Route& route, const DetectorSet& detectors,
                     ++metrics.skipped_frames;
                     tel.votes_skipped.add();
                     // Safe-skip: the planner holds its last command this frame.
-                    MVREJU_OBS_EVENT_AT(t_ns, obs::EventKind::planner_override, frame_id,
-                                        0, static_cast<double>(vote.kind), 0.0);
                     planner.update_perception(std::nullopt);
                     break;
                 case core::VoteKind::no_output:
                     ++metrics.no_output_frames;
                     tel.votes_no_output.add();
-                    MVREJU_OBS_EVENT_AT(t_ns, obs::EventKind::planner_override, frame_id,
-                                        0, static_cast<double>(vote.kind), 0.0);
                     planner.update_perception(std::nullopt);
                     break;
             }

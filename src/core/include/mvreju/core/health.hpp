@@ -17,6 +17,10 @@
 #include "mvreju/reliability/functions.hpp"
 #include "mvreju/util/rng.hpp"
 
+namespace mvreju::obs {
+struct HealthReport;
+}
+
 namespace mvreju::core {
 
 enum class ModuleState {
@@ -127,5 +131,11 @@ private:
     double last_rejuvenation_time_ = -1.0;
     HealthStats stats_;
 };
+
+/// The engine's module states as the exporter's /healthz report: per-state
+/// counts, per-version state names ("healthy", "compromised",
+/// "nonfunctional", "rejuvenating") and the age of the last completed
+/// rejuvenation on the engine's clock.
+[[nodiscard]] obs::HealthReport health_report(const HealthEngine& health);
 
 }  // namespace mvreju::core

@@ -78,6 +78,10 @@ struct FramePlan {
     std::uint64_t frame_id = 0;
     std::uint64_t t_ns = 0;  ///< simulated-clock stamp for deterministic events
     std::vector<ModuleState> states;  ///< per-version health at frame time
+    /// Per-version health at the previous plan (all healthy before the
+    /// first), so a driver can act on transitions such as a fresh
+    /// compromise or a completed rejuvenation.
+    std::vector<ModuleState> previous_states;
     int functional_modules = 0;
 };
 
@@ -103,18 +107,27 @@ public:
         : MultiVersionSystem(std::make_shared<const Pool>(std::move(versions)),
                              std::move(voter), std::move(health)) {}
 
+    /// The system builds its own voter and health process from their
+    /// configuration.
+    MultiVersionSystem(std::vector<VersionSpec<Input, Output>> versions,
+                       VotingScheme scheme, const HealthEngineConfig& health)
+        : MultiVersionSystem(std::move(versions), Voter<Output, Agree>(scheme),
+                             HealthEngine(health)) {}
+
     /// Phase 1: advance the health process to `time`, snapshot per-version
     /// states (emitting module_state transition events) and decide which
-    /// versions participate.
-    [[nodiscard]] FramePlan begin_frame(double time) {
+    /// versions participate. `frame_id` names the frame in the plan and in
+    /// its module_state and vote events: the driver's own frame number.
+    [[nodiscard]] FramePlan begin_frame(double time, std::uint64_t frame_id) {
         health_.advance_to(time);
         FramePlan plan;
         // Flight-recorder timestamps use the simulated clock (ns), so dumps
         // from seeded runs are byte-deterministic.
         plan.t_ns = static_cast<std::uint64_t>(time * 1e9);
-        plan.frame_id = frame_seq_++;
+        plan.frame_id = frame_id;
         if (previous_states_.size() != pool_->size())
             previous_states_.assign(pool_->size(), ModuleState::healthy);
+        plan.previous_states = previous_states_;
         plan.states.reserve(pool_->size());
         for (std::size_t m = 0; m < pool_->size(); ++m) {
             const ModuleState s = health_.state(static_cast<int>(m));
@@ -131,10 +144,15 @@ public:
         return plan;
     }
 
+    /// begin_frame numbered by the system's own call sequence (0, 1, ...).
+    [[nodiscard]] FramePlan begin_frame(double time) {
+        return begin_frame(time, frame_seq_++);
+    }
+
     /// Phase 2: vote over one optional proposal per version (non-functional
     /// versions must hold std::nullopt) and emit the vote event.
     [[nodiscard]] FrameResult<Output> complete_frame(
-        const FramePlan& plan, std::vector<std::optional<Output>> proposals) {
+        const FramePlan& plan, const std::vector<std::optional<Output>>& proposals) {
         FrameResult<Output> frame;
         frame.functional_modules = plan.functional_modules;
         frame.vote = voter_.vote(proposals);
@@ -172,7 +190,7 @@ public:
             }
             proposals.emplace_back(pool_->behaviour(m, s)(input));
         }
-        return complete_frame(plan, std::move(proposals));
+        return complete_frame(plan, proposals);
     }
 
     [[nodiscard]] const HealthEngine& health() const noexcept { return health_; }
@@ -186,8 +204,9 @@ private:
     std::shared_ptr<const Pool> pool_;  ///< shared across streams, never cloned
     Voter<Output, Agree> voter_;
     HealthEngine health_;
-    // Flight-recorder bookkeeping: module_state events fire on transitions
-    // only, observed at frame granularity.
+    // The states of the previous plan: module_state events fire on
+    // transitions only, observed at frame granularity, and the next plan
+    // hands them to the driver as FramePlan::previous_states.
     std::vector<ModuleState> previous_states_;
     std::uint64_t frame_seq_ = 0;
 };

@@ -3,6 +3,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "mvreju/obs/exporter.hpp"
+
 namespace mvreju::core {
 
 namespace {
@@ -214,6 +216,33 @@ void HealthEngine::force_failure(int module) {
     resample_compromise();
     resample_failure();
     start_reactive_if_possible(now_);
+}
+
+obs::HealthReport health_report(const HealthEngine& health) {
+    obs::HealthReport report;
+    for (int m = 0; m < health.module_count(); ++m) {
+        switch (health.state(m)) {
+            case ModuleState::healthy:
+                ++report.healthy;
+                report.module_states.emplace_back("healthy");
+                break;
+            case ModuleState::compromised:
+                ++report.compromised;
+                report.module_states.emplace_back("compromised");
+                break;
+            case ModuleState::nonfunctional:
+                ++report.nonfunctional;
+                report.module_states.emplace_back("nonfunctional");
+                break;
+            case ModuleState::rejuvenating_proactive:
+                ++report.rejuvenating;
+                report.module_states.emplace_back("rejuvenating");
+                break;
+        }
+    }
+    if (health.last_rejuvenation_time() >= 0.0)
+        report.last_rejuvenation_age_s = health.now() - health.last_rejuvenation_time();
+    return report;
 }
 
 }  // namespace mvreju::core

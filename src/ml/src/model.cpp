@@ -1,11 +1,16 @@
 #include "mvreju/ml/model.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <system_error>
+
+#include <unistd.h>
 
 #include "mvreju/obs/metrics.hpp"
 #include "mvreju/util/parallel.hpp"
@@ -312,8 +317,14 @@ std::size_t Sequential::parameter_count() {
 }
 
 void Sequential::save_parameters(const std::filesystem::path& path) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw std::runtime_error("save_parameters: cannot open " + path.string());
+    // Write a temp file named per writer (pid + per-process sequence) next
+    // to the target, then rename it over the target: processes sharing a
+    // parameter cache only ever open a complete file.
+    static std::atomic<std::uint64_t> writes{0};
+    std::filesystem::path tmp = path;
+    tmp += ".tmp." + std::to_string(::getpid()) + "." + std::to_string(writes++);
+    std::ofstream out(tmp, std::ios::binary);
+    if (!out) throw std::runtime_error("save_parameters: cannot open " + tmp.string());
     const auto spans = parameter_spans();
     const std::uint64_t span_count = spans.size();
     out.write(reinterpret_cast<const char*>(&span_count), sizeof span_count);
@@ -323,7 +334,13 @@ void Sequential::save_parameters(const std::filesystem::path& path) {
         out.write(reinterpret_cast<const char*>(span.data()),
                   static_cast<std::streamsize>(n * sizeof(float)));
     }
-    if (!out) throw std::runtime_error("save_parameters: write failed");
+    out.close();
+    std::error_code error;
+    if (out) std::filesystem::rename(tmp, path, error);
+    if (!out || error) {
+        std::filesystem::remove(tmp, error);
+        throw std::runtime_error("save_parameters: cannot write " + path.string());
+    }
 }
 
 void Sequential::load_parameters(const std::filesystem::path& path) {

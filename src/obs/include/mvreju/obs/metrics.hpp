@@ -3,7 +3,7 @@
 // Lock-cheap metrics registry: counters, gauges and fixed-bucket histograms
 // with quantile estimates. Built for the repo's execution model — metric
 // updates happen inside util::parallel_for workers, Monte-Carlo loops and
-// the RuntimeSystem's module threads — so the hot path must not serialise
+// the server and exporter threads — so the hot path must not serialise
 // writers:
 //
 //  - Counters and histograms are sharded per thread. Each thread owns a

@@ -108,13 +108,18 @@ public:
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
     /// Phase 1 (delegates to the core system): health snapshot + plan.
+    /// `frame_id` names the frame in its module_state and vote events; the
+    /// one-argument form numbers frames by the session's own sequence.
+    [[nodiscard]] core::FramePlan begin_frame(double time, std::uint64_t frame_id) {
+        return system_.begin_frame(time, frame_id);
+    }
     [[nodiscard]] core::FramePlan begin_frame(double time) {
         return system_.begin_frame(time);
     }
 
     /// Phase 2: vote over one optional label per version.
     [[nodiscard]] SessionResult complete_frame(
-        const core::FramePlan& plan, std::vector<std::optional<int>> proposals);
+        const core::FramePlan& plan, const std::vector<std::optional<int>>& proposals);
 
     /// The model version `m` runs this frame given its planned state; null
     /// when the version is not functional.

@@ -24,7 +24,8 @@ Pipeline::Pipeline(const ModelSet& set, const Options& options, Driver& driver,
 void Pipeline::admit(Session& session, std::uint64_t frame_id, const float* sample,
                      bool want_trace) {
     const std::uint64_t arrival = driver_.now_us();
-    core::FramePlan plan = session.begin_frame(static_cast<double>(arrival) * 1e-6);
+    core::FramePlan plan =
+        session.begin_frame(static_cast<double>(arrival) * 1e-6, frame_id);
 
     Reply reply;
     reply.stream = session.id();
@@ -126,8 +127,7 @@ void Pipeline::finalize(InFlight& frame) {
     MVREJU_PROFILE_STAGE(profile_scope, "vote");
     Session* session = driver_.session(frame.stream);
     if (session == nullptr) return;  // the stream went away mid-flight
-    const SessionResult result =
-        session->complete_frame(frame.plan, std::move(frame.proposals));
+    const SessionResult result = session->complete_frame(frame.plan, frame.proposals);
     frame.trace.stamp(TracePoint::vote, driver_.now_us());
 
     Reply reply;

@@ -73,10 +73,9 @@ Session::Session(std::uint64_t stream_id, const ModelSet& set,
         throw std::invalid_argument("Session: empty model set");
 }
 
-SessionResult Session::complete_frame(const core::FramePlan& plan,
-                                      std::vector<std::optional<int>> proposals) {
-    const core::FrameResult<int> frame =
-        system_.complete_frame(plan, std::move(proposals));
+SessionResult Session::complete_frame(
+    const core::FramePlan& plan, const std::vector<std::optional<int>>& proposals) {
+    const core::FrameResult<int> frame = system_.complete_frame(plan, proposals);
     SessionResult result;
     result.kind = frame.vote.kind;
     result.label = frame.vote.value.value_or(-1);

@@ -6,6 +6,7 @@
 
 #include "mvreju/core/dspn_models.hpp"
 #include "mvreju/dspn/solver.hpp"
+#include "mvreju/obs/exporter.hpp"
 
 namespace mvreju::core {
 namespace {
@@ -93,6 +94,32 @@ TEST(HealthEngine, ForcedTransitions) {
     engine.advance_to(engine.now() + 50.0);
     EXPECT_NE(engine.state(0), ModuleState::nonfunctional);
     EXPECT_GE(engine.stats().reactive_rejuvenations, 1u);
+}
+
+TEST(HealthEngine, HealthReportMirrorsEngineStates) {
+    HealthEngineConfig cfg;  // Table IV timing: no stochastic event for minutes
+    cfg.proactive = false;
+    HealthEngine engine(cfg);
+    const obs::HealthReport fresh = health_report(engine);
+    EXPECT_EQ(fresh.healthy, 3);
+    EXPECT_DOUBLE_EQ(fresh.last_rejuvenation_age_s, -1.0);
+    engine.force_compromise(0);
+    engine.force_failure(1);
+    const obs::HealthReport attacked = health_report(engine);
+    EXPECT_EQ(attacked.healthy, 1);
+    EXPECT_EQ(attacked.compromised, 1);
+    EXPECT_EQ(attacked.nonfunctional, 1);
+    EXPECT_EQ(attacked.module_states,
+              (std::vector<std::string>{"compromised", "nonfunctional", "healthy"}));
+    // Reactive repair of the crashed module completes within 0.5 s on
+    // average; the age is then measured on the engine's clock.
+    while (engine.stats().reactive_rejuvenations == 0)
+        engine.advance_to(engine.now() + 0.1);
+    const obs::HealthReport repaired = health_report(engine);
+    EXPECT_EQ(repaired.nonfunctional, 0);
+    EXPECT_DOUBLE_EQ(repaired.last_rejuvenation_age_s,
+                     engine.now() - engine.last_rejuvenation_time());
+    EXPECT_GE(repaired.last_rejuvenation_age_s, 0.0);
 }
 
 TEST(HealthEngine, DeterministicUnderSeed) {

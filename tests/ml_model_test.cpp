@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <thread>
+
+#include <unistd.h>
 
 #include "mvreju/data/signs.hpp"
 
@@ -127,6 +132,39 @@ TEST(Sequential, LoadRejectsArchitectureMismatch) {
     other.add(std::make_unique<Dense>(4, 4, rng));
     EXPECT_THROW(other.load_parameters(path), std::runtime_error);
     fs::remove(path);
+}
+
+TEST(Sequential, LoadsNeverSeeAPartiallyWrittenSave) {
+    // Several processes share one parameter cache; a loader racing a writer
+    // must read the old file or the new one, never a truncated one.
+    namespace fs = std::filesystem;
+    const fs::path path = fs::temp_directory_path() /
+                          ("mvreju_model_race_" + std::to_string(::getpid()) + ".bin");
+    Sequential writer = make_tiny_lenet(3, 16, 8, 21);
+    writer.save_parameters(path);
+    std::atomic<bool> started{false};
+    std::atomic<bool> done{false};
+    std::size_t loads = 0;
+    std::size_t failures = 0;
+    std::thread loader([&] {
+        Sequential model = make_tiny_lenet(3, 16, 8, 22);
+        started = true;
+        while (!done) {
+            try {
+                model.load_parameters(path);
+            } catch (const std::runtime_error&) {
+                ++failures;
+            }
+            ++loads;
+        }
+    });
+    while (!started) std::this_thread::yield();
+    for (int i = 0; i < 2000; ++i) writer.save_parameters(path);
+    done = true;
+    loader.join();
+    fs::remove(path);
+    EXPECT_GT(loads, 0u);
+    EXPECT_EQ(failures, 0u) << "of " << loads << " loads";
 }
 
 TEST(Sequential, EmptyModelAndDatasetErrors) {

@@ -1,11 +1,13 @@
 // End-to-end tests for serve::Server over real sockets: request/response
-// round trips with echoed frame ids, cross-stream batching of concurrent
+// round trips with echoed frame ids (in the reply and in the flight
+// recorder's vote events), cross-stream batching of concurrent
 // clients, admission control beyond max_streams, the two load-shedding
 // paths (hard-cap drops and degraded single-version replies), and clean
 // stop with connections open.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "mvreju/obs/flight_recorder.hpp"
 #include "mvreju/serve/protocol.hpp"
 #include "mvreju/serve/server.hpp"
 #include "mvreju/serve/session.hpp"
@@ -118,6 +121,41 @@ TEST(ServeServerTest, AnswersRequestsWithEchoedIds) {
     EXPECT_EQ(stats.decided + stats.skipped + stats.no_output, 10u);
     server.stop();
     EXPECT_FALSE(server.running());
+}
+
+TEST(ServeServerTest, VoteEventsCarryTheClientFrameId) {
+#ifdef MVREJU_OBS_DISABLED
+    GTEST_SKIP() << "flight recorder compiled out";
+#endif
+    obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+    recorder.clear();
+    recorder.set_enabled(true);
+    serve::Server server(shared_set(), fast_options());
+    ASSERT_TRUE(server.start());
+    const int fd = connect_to(server.port());
+    util::Rng rng(23);
+    for (const std::uint64_t frame : {1000u, 1001u}) {
+        const std::string wire = random_request(rng, frame);
+        ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+                  static_cast<ssize_t>(wire.size()));
+        serve::ResponseFrame response;
+        ASSERT_TRUE(recv_response(fd, response));
+        EXPECT_EQ(response.frame_id, frame);
+    }
+    ::close(fd);
+    server.stop();
+    recorder.set_enabled(false);
+
+    std::vector<std::uint64_t> vote_frames;
+    for (const auto& thread : recorder.snapshot())
+        for (const obs::EventRecord& e : thread.events)
+            if (e.kind == obs::EventKind::vote_decided ||
+                e.kind == obs::EventKind::vote_skipped ||
+                e.kind == obs::EventKind::vote_no_output)
+                vote_frames.push_back(e.frame);
+    recorder.clear();
+    std::sort(vote_frames.begin(), vote_frames.end());
+    EXPECT_EQ(vote_frames, (std::vector<std::uint64_t>{1000, 1001}));
 }
 
 TEST(ServeServerTest, BatchesAcrossConcurrentStreams) {
