@@ -1,9 +1,11 @@
 #pragma once
 
 // Buffered non-blocking connection on an EventLoop. A Conn owns its fd,
-// accumulates incoming bytes into rx() and queues outgoing bytes through
-// send(), toggling writable interest only while a backlog exists. Lifetime
-// is shared_ptr-based: the loop callback keeps the Conn alive until it is
+// accumulates incoming bytes into rx() and holds outgoing bytes in one
+// transmit buffer: send() writes at once, while queue() only appends so
+// that several messages can leave in one flush(). Writable interest is
+// armed only while the socket has refused part of the buffer. Lifetime is
+// shared_ptr-based: the loop callback keeps the Conn alive until it is
 // closed, so a callback that closes its own connection is safe.
 
 #include <cstddef>
@@ -35,8 +37,14 @@ public:
     /// Incoming byte buffer; the consumer erases what it has processed.
     [[nodiscard]] std::string& rx() noexcept { return rx_; }
 
-    /// Queue bytes for transmission; flushes as much as the socket accepts
-    /// now and arms writable interest for the rest.
+    /// Append bytes to the transmit buffer without writing them. They leave
+    /// at the next flush(), or on writable readiness while a backlog exists.
+    void queue(const void* data, std::size_t n);
+    void queue(const std::string& data) { queue(data.data(), data.size()); }
+    /// Write as much of the transmit buffer as the socket accepts now and
+    /// arm writable interest for the rest. Returns the socket writes made.
+    std::size_t flush();
+    /// queue() then flush().
     void send(const void* data, std::size_t n);
     void send(const std::string& data) { send(data.data(), data.size()); }
 
@@ -56,7 +64,6 @@ public:
 private:
     Conn(EventLoop& loop, int fd, DataFn on_data, CloseFn on_close);
     void on_ready(std::uint32_t ready);
-    void flush_tx();
     void update_interest();
 
     EventLoop& loop_;

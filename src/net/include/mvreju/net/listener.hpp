@@ -1,9 +1,9 @@
 #pragma once
 
 // Listening TCP socket on an EventLoop: binds, listens, and invokes an
-// accept callback with each new (already non-blocking) connection fd. The
-// Listener owns the listening fd; accepted fds belong to the callback
-// (typically wrapped in a net::Conn immediately).
+// accept callback with each new connection fd, already non-blocking and
+// with TCP_NODELAY set. The Listener owns the listening fd; accepted fds
+// belong to the callback (typically wrapped in a net::Conn immediately).
 
 #include <cstdint>
 #include <functional>
@@ -22,7 +22,8 @@ struct ListenerOptions {
 
 class Listener {
 public:
-    /// Called once per accepted connection with a non-blocking fd.
+    /// Called once per accepted connection with a non-blocking,
+    /// TCP_NODELAY fd.
     using AcceptFn = std::function<void(int fd)>;
 
     /// Bind + listen + register with `loop`. Returns nullptr on failure and,

@@ -66,14 +66,19 @@ void Conn::close_after_send() {
     want_write_ = true;
 }
 
-void Conn::send(const void* data, std::size_t n) {
+void Conn::queue(const void* data, std::size_t n) {
     if (fd_ < 0 || n == 0) return;
     tx_.append(static_cast<const char*>(data), n);
-    flush_tx();
 }
 
-void Conn::flush_tx() {
-    if (fd_ < 0) return;
+void Conn::send(const void* data, std::size_t n) {
+    queue(data, n);
+    flush();
+}
+
+std::size_t Conn::flush() {
+    if (fd_ < 0) return 0;
+    std::size_t writes = 0;
     while (tx_offset_ < tx_.size()) {
         // MSG_NOSIGNAL: a peer hanging up mid-send must yield EPIPE here,
         // not SIGPIPE for the whole process.
@@ -81,6 +86,7 @@ void Conn::flush_tx() {
                                  MSG_NOSIGNAL);
         if (n > 0) {
             tx_offset_ += static_cast<std::size_t>(n);
+            ++writes;
             continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -89,17 +95,18 @@ void Conn::flush_tx() {
         // reaction — closing would drop the connection under profiling load.
         if (n < 0 && errno == EINTR) continue;
         close();  // peer gone or hard error
-        return;
+        return writes;
     }
     if (tx_offset_ >= tx_.size()) {
         tx_.clear();
         tx_offset_ = 0;
         if (draining_) {
             close();
-            return;
+            return writes;
         }
     }
     update_interest();
+    return writes;
 }
 
 void Conn::update_interest() {
@@ -116,7 +123,7 @@ void Conn::on_ready(std::uint32_t ready) {
     const std::shared_ptr<Conn> guard = shared_from_this();
 
     if (ready & kWritable) {
-        flush_tx();
+        flush();
         if (fd_ < 0) return;
     }
     if ((ready & kReadable) && !draining_) {

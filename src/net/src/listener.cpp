@@ -6,6 +6,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -88,6 +89,10 @@ void Listener::on_readable() {
             return;  // EAGAIN/EWOULDBLOCK or transient error
         }
         set_nonblocking(client);
+        // No Nagle: a reply written while an earlier segment is unacked
+        // would otherwise wait for the peer's (possibly delayed) ACK.
+        const int one = 1;
+        ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         on_accept_(client);
     }
 }

@@ -4,7 +4,9 @@
 // A serve::Server accepts any number of client connections (one perception
 // stream each) on a net::EventLoop, parses length-prefixed request frames,
 // hands each one to the pipeline on the steady clock, and sends the
-// pipeline's reply back on the frame's connection. One service thread owns
+// pipeline's reply back on the frame's connection. Replies are queued as
+// frames finish and leave at the end of each service-loop tick, one write
+// per connection (counted by serve.tx.writes). One service thread owns
 // everything — loop, sessions, pipeline — so there is no locking on the
 // serving path; parallelism comes from logits_batch fanning a coalesced
 // batch across worker threads.

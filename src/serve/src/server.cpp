@@ -57,6 +57,9 @@ struct Server::Impl final : Pipeline::Driver {
     /// destroyed at the top of the next serve_loop tick.
     std::vector<std::unordered_map<std::uint64_t, Client>::node_type> graveyard;
     std::vector<std::weak_ptr<net::Conn>> refused;  ///< closing after refusal
+    /// Connections holding replies this tick has not written yet; the
+    /// tick-end flush_replies() writes each once.
+    std::vector<std::shared_ptr<net::Conn>> unflushed;
     std::uint64_t next_stream_id = 1;
 
     mutable std::mutex stats_mutex;
@@ -92,7 +95,7 @@ struct Server::Impl final : Pipeline::Driver {
         // A frame admitted in the same on_data pass as its stream's close
         // answers into the graveyard: nobody is listening.
         const auto it = clients.find(reply.stream);
-        if (it != clients.end()) respond(it->second, reply.response);
+        if (it != clients.end()) respond(it->second.conn, reply.response);
     }
 
     template <typename Fn>
@@ -101,10 +104,28 @@ struct Server::Impl final : Pipeline::Driver {
         update(stats_snapshot);
     }
 
-    void respond(Client& client, const ResponseFrame& response) {
+    /// Queue one reply in the connection's transmit buffer; it leaves with
+    /// the rest of the tick's replies in flush_replies(). A connection with
+    /// a backlog the socket refused is not noted: writable readiness
+    /// drains it, and the new reply behind it.
+    void respond(const std::shared_ptr<net::Conn>& conn, const ResponseFrame& response) {
         MVREJU_PROFILE_STAGE(profile_scope, "tx");
-        if (!client.conn || client.conn->closed()) return;
-        client.conn->send(encode_response(response));
+        if (!conn || conn->closed()) return;
+        if (conn->tx_pending() == 0) unflushed.push_back(conn);
+        conn->queue(encode_response(response));
+    }
+
+    /// One write per connection that got replies this tick, so a burst
+    /// answered by one flush leaves in one segment. A draining connection
+    /// (error or refusal) closes once its buffer is out.
+    void flush_replies() {
+        if (unflushed.empty()) return;
+        MVREJU_PROFILE_STAGE(profile_scope, "tx");
+        static obs::Counter& writes = obs::metrics().counter("serve.tx.writes");
+        std::size_t written = 0;
+        for (const auto& conn : unflushed) written += conn->flush();
+        unflushed.clear();
+        writes.add(written);
     }
 
     /// Track a refused conn for shutdown, recycling slots left by conns
@@ -126,7 +147,7 @@ struct Server::Impl final : Pipeline::Driver {
             // loop-owned until it drains; track it for shutdown.
             auto conn = net::Conn::adopt(*loop, fd, [](net::Conn&) {});
             if (conn) {
-                conn->send(encode_response(ResponseFrame{}));
+                respond(conn, ResponseFrame{});
                 conn->close_after_send();
                 track_refused(conn);
             }
@@ -187,7 +208,7 @@ struct Server::Impl final : Pipeline::Driver {
                 obs::metrics().counter("serve.protocol_errors");
             errors.add(1);
             bump([](Stats& s) { ++s.protocol_errors; });
-            respond(client, ResponseFrame{});
+            respond(client.conn, ResponseFrame{});
             client.conn->close_after_send();
         }
     }
@@ -276,8 +297,11 @@ struct Server::Impl final : Pipeline::Driver {
                     std::min<std::uint64_t>(wait_us / 1000,
                                             static_cast<std::uint64_t>(timeout)));
             }
+            // Reads, and any batch they fill, run inside poll_once; due
+            // deadlines flush after it; then the tick's replies go out.
             if (loop->poll_once(timeout) < 0) break;
             batcher.flush_due(now_us());
+            flush_replies();
             // Refresh the exporter documents with whatever the tick's frames
             // folded in, and keep them fresh when no frames flow.
             if (options.publish_telemetry) maybe_publish(now_us());
@@ -332,6 +356,7 @@ void Server::stop() {
         if (client.conn) client.conn->close();
     clients.clear();
     impl_->graveyard.clear();
+    impl_->unflushed.clear();
     for (auto& weak : impl_->refused)
         if (auto conn = weak.lock()) conn->close();
     impl_->refused.clear();

@@ -1,7 +1,8 @@
 // Tests for the net layer the exporter and the serving layer share: the
 // EventLoop's registration bookkeeping and dispatch safety on both backends
 // (epoll and forced poll), cross-thread stop() waking a parked loop, and a
-// full Listener + Conn echo round trip per backend.
+// full Listener + Conn echo round trip per backend on an accepted socket
+// that carries TCP_NODELAY.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -142,6 +144,12 @@ TEST(NetEventLoopTest, ListenerConnEchoOnBothBackends) {
         auto listener = net::Listener::open(
             loop, net::ListenerOptions{},
             [&loop](int fd) {
+                // Every accepted socket, the exporter's included, gets
+                // TCP_NODELAY from the Listener.
+                int nodelay = 0;
+                socklen_t len = sizeof nodelay;
+                EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+                EXPECT_EQ(nodelay, 1);
                 auto conn = net::Conn::adopt(loop, fd, [](net::Conn& c) {
                     // Echo and close once a full line arrived.
                     if (c.rx().find('\n') == std::string::npos) return;

@@ -21,9 +21,23 @@ paths (array indices as [i]):
         kernels on a CPU without AVX2.
 
 Exit status 0 when every gate in every file passes, 1 otherwise.
+
+With --trajectory <csv> it reads a committed wall-clock trajectory instead
+(bench/trajectory/perfbench.csv) and gates nothing. Each row is one
+(commit, workload, metric) summary over repeated runs:
+
+    commit,workload,metric,unit,median,q1,q3,runs,seconds
+
+`commit` is a short git hash, or `<parent-hash>+<name>` for a change
+measured before it had a commit of its own; commits appear in file order,
+oldest first. For each (workload, metric) it prints the latest commit's
+median, the delta against the previous commit's row, and whether that delta
+exceeds the previous row's interquartile range (q3 - q1). Exit status 1
+only when the file is malformed.
 """
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -101,9 +115,8 @@ def gate_label(gate):
     return str(gate)
 
 
-def render_table(rows):
-    """Aligned per-gate summary: gate, measured, constraint, verdict."""
-    header = ("gate", "measured", "constraint", "verdict")
+def render_table(rows, header=("gate", "measured", "constraint", "verdict")):
+    """Aligned table under `header`; by default the per-gate summary."""
     widths = [len(h) for h in header]
     for row in rows:
         for i, cell in enumerate(row):
@@ -155,13 +168,92 @@ def compare(current_path, baseline_path):
     return failures == 0, rows
 
 
+TRAJECTORY_COLUMNS = ["commit", "workload", "metric", "unit", "median", "q1",
+                      "q3", "runs", "seconds"]
+
+
+def read_trajectory(path):
+    """Parse and validate a trajectory CSV; raises ValueError when malformed."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != TRAJECTORY_COLUMNS:
+            raise ValueError(f"header {header} != {TRAJECTORY_COLUMNS}")
+        rows, seen, units = [], set(), {}
+        for line, cells in enumerate(reader, start=2):
+            if len(cells) != len(TRAJECTORY_COLUMNS):
+                raise ValueError(f"line {line}: {len(cells)} cells, "
+                                 f"expected {len(TRAJECTORY_COLUMNS)}")
+            row = dict(zip(TRAJECTORY_COLUMNS, cells))
+            try:
+                for key in ("median", "q1", "q3", "seconds"):
+                    row[key] = float(row[key])
+                row["runs"] = int(row["runs"])
+            except ValueError as error:
+                raise ValueError(f"line {line}: {error}") from None
+            if not all(row[key] for key in ("commit", "workload", "metric", "unit")):
+                raise ValueError(f"line {line}: empty name cell")
+            if not row["q1"] <= row["median"] <= row["q3"]:
+                raise ValueError(f"line {line}: median outside [q1, q3]")
+            if row["runs"] < 1 or row["seconds"] <= 0:
+                raise ValueError(f"line {line}: runs and seconds must be positive")
+            key = (row["commit"], row["workload"], row["metric"])
+            if key in seen:
+                raise ValueError(f"line {line}: duplicate row {key}")
+            seen.add(key)
+            if units.setdefault(row["metric"], row["unit"]) != row["unit"]:
+                raise ValueError(f"line {line}: {row['metric']} changes unit")
+            rows.append(row)
+    if not rows:
+        raise ValueError("no rows")
+    return rows
+
+
+def print_trajectory(rows):
+    """Latest median per (workload, metric) with its delta to the previous commit."""
+    series = {}
+    for row in rows:
+        series.setdefault((row["workload"], row["metric"]), []).append(row)
+    table = []
+    for (workload, metric), history in series.items():
+        latest = history[-1]
+        cells = [workload, metric, latest["commit"],
+                 f"{latest['median']:.6g} {latest['unit']}"]
+        if len(history) < 2:
+            cells += ["-", "-", "first row"]
+        else:
+            previous = history[-2]
+            delta = latest["median"] - previous["median"]
+            iqr = previous["q3"] - previous["q1"]
+            share = f" ({delta / previous['median']:+.1%})" if previous["median"] else ""
+            cells += [f"{delta:+.6g}{share}", f"{iqr:.6g}",
+                      f"{'beyond' if abs(delta) > iqr else 'within'} "
+                      f"{previous['commit']}'s IQR"]
+        table.append(tuple(cells))
+    print(render_table(table, ("workload", "metric", "latest", "median", "delta",
+                               "prev IQR", "verdict")))
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline-dir", default="bench/baselines",
                         help="directory holding baseline BENCH_*.json files")
-    parser.add_argument("current", nargs="+",
+    parser.add_argument("--trajectory", metavar="CSV",
+                        help="print a wall-clock trajectory's latest deltas "
+                             "(gates nothing)")
+    parser.add_argument("current", nargs="*",
                         help="benchmark JSON files produced by this run")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        try:
+            rows = read_trajectory(args.trajectory)
+        except (OSError, ValueError) as error:
+            print(f"FAIL {args.trajectory}: {error}")
+            return 1
+        print_trajectory(rows)
+        return 0
+    if not args.current:
+        parser.error("give benchmark JSON files, or --trajectory CSV")
 
     all_ok = True
     summaries = []
