@@ -77,12 +77,6 @@ private:
 [[nodiscard]] double pure_pursuit_steer(const EgoVehicle& ego, const Route& route,
                                         double& s_hint, const PlannerConfig& config);
 
-/// Pose-based variant: steer from an *estimated* pose (e.g. the localization
-/// filter's output) rather than ground truth.
-[[nodiscard]] double pure_pursuit_steer(Vec2 position, double heading, double speed,
-                                        const Route& route, double& s_hint,
-                                        const PlannerConfig& config);
-
 /// Speed limit from the route's legal limit and the curvature of the next
 /// `curve_preview` metres (comfortable lateral acceleration).
 [[nodiscard]] double curvature_limited_speed(const Route& route, double s,

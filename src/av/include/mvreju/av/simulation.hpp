@@ -9,7 +9,6 @@
 // and perception timing.
 
 #include "mvreju/av/degraded.hpp"
-#include "mvreju/av/localization.hpp"
 #include "mvreju/av/perception.hpp"
 #include "mvreju/av/planner.hpp"
 #include "mvreju/av/route.hpp"
@@ -36,12 +35,6 @@ struct ScenarioConfig {
     core::VictimPolicy victim_policy = core::VictimPolicy::two_thirds_compromised;
     core::VotingScheme voting = core::VotingScheme::majority;
 
-    /// Steer from a GNSS + dead-reckoning estimate instead of ground-truth
-    /// pose (the OpenCDA localization stage). Off by default: the paper's
-    /// case study evaluates the perception system.
-    bool use_localization = false;
-    GnssConfig gnss;
-    double gnss_period = 1.0;  ///< seconds between fixes
     int npc_count = 2;
     SensorConfig sensor;
     PlannerConfig planner;

@@ -63,25 +63,18 @@ double curvature_limited_speed(const Route& route, double s,
     return limit;
 }
 
-double pure_pursuit_steer(Vec2 position, double heading, double speed,
-                          const Route& route, double& s_hint,
+double pure_pursuit_steer(const EgoVehicle& ego, const Route& route, double& s_hint,
                           const PlannerConfig& config) {
-    s_hint = route.project(position, s_hint);
-    const double lookahead = config.lookahead_base + config.lookahead_gain * speed;
+    s_hint = route.project(ego.position(), s_hint);
+    const double lookahead = config.lookahead_base + config.lookahead_gain * ego.speed();
     const Vec2 target = route.point_at(std::min(s_hint + lookahead, route.length()));
-    const Obb frame{position, 2.25, 0.95, heading};
+    const Obb frame{ego.position(), 2.25, 0.95, ego.heading()};
     const Vec2 local = to_local(frame, target);
     const double dist = std::max(local.norm(), 1e-6);
     const double alpha = std::atan2(local.y, local.x);
     // Classic pure pursuit with wheelbase 2.8 (matching EgoVehicle default).
     const double steer = std::atan2(2.0 * 2.8 * std::sin(alpha), dist);
     return std::clamp(steer, -config.max_steer, config.max_steer);
-}
-
-double pure_pursuit_steer(const EgoVehicle& ego, const Route& route, double& s_hint,
-                          const PlannerConfig& config) {
-    return pure_pursuit_steer(ego.position(), ego.heading(), ego.speed(), route, s_hint,
-                              config);
 }
 
 }  // namespace mvreju::av

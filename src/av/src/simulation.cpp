@@ -125,9 +125,6 @@ RunMetrics run_scenario(const Route& route, const DetectorSet& detectors,
     const core::VersionPool<ml::Tensor, Detection>& pool = *system.pool();
 
     EgoVehicle ego(route.point_at(0.0), route.heading_at(0.0));
-    Localizer localizer(ego.position(), ego.heading());
-    util::Rng gnss_rng = root.split(5);
-    double next_gnss = 0.0;
     Planner planner(config.planner);
     double s_hint = 0.0;
 
@@ -330,20 +327,8 @@ RunMetrics run_scenario(const Route& route, const DetectorSet& detectors,
         // --- Plan and act ---
         const double limit = curvature_limited_speed(route, s_hint, config.planner);
         const double accel = planner.accel_command(ego.speed(), limit);
-        const double steer =
-            config.use_localization
-                ? pure_pursuit_steer(localizer.position(), localizer.heading(),
-                                     ego.speed(), route, s_hint, config.planner)
-                : pure_pursuit_steer(ego, route, s_hint, config.planner);
+        const double steer = pure_pursuit_steer(ego, route, s_hint, config.planner);
         ego.step(accel, steer, config.dt);
-        if (config.use_localization) {
-            localizer.predict(ego.speed(), steer, config.dt);
-            if (now >= next_gnss) {
-                localizer.correct(
-                    sample_gnss(ego.position(), ego.heading(), config.gnss, gnss_rng));
-                next_gnss += config.gnss_period;
-            }
-        }
         for (NpcVehicle& npc : npcs) npc.step(config.dt);
 
         // --- Collision accounting ---

@@ -9,8 +9,9 @@
 //    run(); callbacks execute on that thread. The only cross-thread entry
 //    point is stop(), which is async-signal-ish safe (an atomic flag plus a
 //    self-pipe write) so another thread can wake a parked loop.
-//  - Backend: epoll on Linux, poll everywhere else. The poll backend can be
-//    forced (Backend::poll) so tests exercise both code paths on Linux.
+//  - Readiness comes from epoll (the project builds on Linux only). If
+//    epoll_create1 fails, add() and poll_once() fail; nothing falls back
+//    to another readiness call.
 //  - Callbacks may add or remove fds freely, including removing themselves;
 //    dispatch re-validates registration before every invocation.
 //
@@ -25,7 +26,7 @@
 
 namespace mvreju::net {
 
-/// Readiness interest / result bits (backend-neutral).
+/// Readiness interest / result bits.
 inline constexpr std::uint32_t kReadable = 1u << 0;
 inline constexpr std::uint32_t kWritable = 1u << 1;
 /// Error/hangup, always reported even when not requested.
@@ -36,18 +37,14 @@ public:
     /// Invoked with the ready bitmask for the registered fd.
     using IoCallback = std::function<void(std::uint32_t ready)>;
 
-    enum class Backend {
-        automatic,  ///< epoll on Linux, poll elsewhere
-        poll,       ///< force the portable poll() backend
-    };
-
-    explicit EventLoop(Backend backend = Backend::automatic);
+    EventLoop();
     ~EventLoop();
     EventLoop(const EventLoop&) = delete;
     EventLoop& operator=(const EventLoop&) = delete;
 
     /// Register `fd` for the `interest` bits. Returns false when the fd is
-    /// already registered or the backend rejects it.
+    /// already registered or epoll rejects it (also when the loop has no
+    /// epoll instance).
     bool add(int fd, std::uint32_t interest, IoCallback callback);
     /// Change the interest set of a registered fd.
     bool modify(int fd, std::uint32_t interest);
@@ -57,8 +54,10 @@ public:
     [[nodiscard]] std::size_t watched() const noexcept { return entries_.size(); }
 
     /// Wait up to `timeout_ms` (-1 = indefinitely) and dispatch callbacks
-    /// for every ready fd. Returns the number of callbacks dispatched, 0 on
-    /// timeout, -1 on a backend error other than EINTR.
+    /// for every ready fd. Returns the number of fds epoll reported ready
+    /// (an fd whose callback was skipped because an earlier callback removed
+    /// or replaced it still counts), 0 on timeout, -1 on an epoll error other
+    /// than EINTR (also when the loop has no epoll instance).
     int poll_once(int timeout_ms);
 
     /// poll_once(tick_ms) until stop() is observed.
@@ -73,11 +72,8 @@ public:
         return stop_requested_.load(std::memory_order_relaxed);
     }
 
-    [[nodiscard]] bool using_epoll() const noexcept { return epoll_fd_ >= 0; }
-
 private:
     struct Entry {
-        std::uint32_t interest = 0;
         IoCallback callback;
         std::uint64_t generation = 0;  ///< guards against fd-number reuse
     };
@@ -90,14 +86,11 @@ private:
         std::uint64_t generation = 0;
     };
 
-    bool backend_add(int fd, std::uint32_t interest);
-    bool backend_modify(int fd, std::uint32_t interest);
-    void backend_remove(int fd);
     void dispatch(const std::vector<ReadyEvent>& ready);
 
     std::unordered_map<int, Entry> entries_;
     std::uint64_t generation_ = 0;
-    int epoll_fd_ = -1;           ///< -1 when on the poll backend
+    int epoll_fd_ = -1;           ///< -1 when epoll_create1 failed
     int wake_pipe_[2] = {-1, -1}; ///< self-pipe: stop() writes, loop drains
     std::atomic<bool> stop_requested_{false};
 };

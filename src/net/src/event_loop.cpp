@@ -2,60 +2,35 @@
 
 #include <cerrno>
 #include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-
-#if defined(__linux__)
 #include <sys/epoll.h>
-#define MVREJU_NET_HAVE_EPOLL 1
-#endif
+#include <unistd.h>
 
 namespace mvreju::net {
 
 namespace {
 
-#if MVREJU_NET_HAVE_EPOLL
-std::uint32_t to_epoll(std::uint32_t interest) {
-    std::uint32_t ev = 0;
-    if (interest & kReadable) ev |= EPOLLIN;
-    if (interest & kWritable) ev |= EPOLLOUT;
-    return ev;
+/// epoll_ctl ADD or MOD for `fd` with our interest bits as epoll's.
+bool epoll_set(int epoll_fd, int op, int fd, std::uint32_t interest) {
+    epoll_event ev{};
+    if (interest & kReadable) ev.events |= EPOLLIN;
+    if (interest & kWritable) ev.events |= EPOLLOUT;
+    ev.data.fd = fd;
+    return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
 }
 
 std::uint32_t from_epoll(std::uint32_t ev) {
     std::uint32_t ready = 0;
     if (ev & (EPOLLIN | EPOLLPRI)) ready |= kReadable;
     if (ev & EPOLLOUT) ready |= kWritable;
+    // Error/hangup: surface as error *and* readable so byte-stream consumers
+    // observe EOF through their normal read path.
     if (ev & (EPOLLERR | EPOLLHUP)) ready |= kError | kReadable;
-    return ready;
-}
-#endif
-
-short to_poll(std::uint32_t interest) {
-    short ev = 0;
-    if (interest & kReadable) ev |= POLLIN;
-    if (interest & kWritable) ev |= POLLOUT;
-    return ev;
-}
-
-std::uint32_t from_poll(short revents) {
-    std::uint32_t ready = 0;
-    if (revents & (POLLIN | POLLPRI)) ready |= kReadable;
-    if (revents & POLLOUT) ready |= kWritable;
-    // POLLHUP/POLLERR/POLLNVAL: surface as error *and* readable so byte-stream
-    // consumers observe EOF through their normal read path.
-    if (revents & (POLLERR | POLLHUP | POLLNVAL)) ready |= kError | kReadable;
     return ready;
 }
 
 }  // namespace
 
-EventLoop::EventLoop(Backend backend) {
-#if MVREJU_NET_HAVE_EPOLL
-    if (backend == Backend::automatic) epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-#else
-    (void)backend;
-#endif
+EventLoop::EventLoop() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {
     if (::pipe(wake_pipe_) == 0) {
         // Self-pipe: stop() writes a token, the loop drains. Both ends are
         // non-blocking so neither a stop() burst nor the drain can park.
@@ -70,67 +45,26 @@ EventLoop::EventLoop(Backend backend) {
 }
 
 EventLoop::~EventLoop() {
-#if MVREJU_NET_HAVE_EPOLL
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
-#endif
     for (int fd : wake_pipe_)
         if (fd >= 0) ::close(fd);
 }
 
-bool EventLoop::backend_add(int fd, std::uint32_t interest) {
-#if MVREJU_NET_HAVE_EPOLL
-    if (epoll_fd_ >= 0) {
-        epoll_event ev{};
-        ev.events = to_epoll(interest);
-        ev.data.fd = fd;
-        return ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
-    }
-#endif
-    (void)fd;
-    (void)interest;
-    return true;  // poll backend builds its fd set per call
-}
-
-bool EventLoop::backend_modify(int fd, std::uint32_t interest) {
-#if MVREJU_NET_HAVE_EPOLL
-    if (epoll_fd_ >= 0) {
-        epoll_event ev{};
-        ev.events = to_epoll(interest);
-        ev.data.fd = fd;
-        return ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-    }
-#endif
-    (void)fd;
-    (void)interest;
-    return true;
-}
-
-void EventLoop::backend_remove(int fd) {
-#if MVREJU_NET_HAVE_EPOLL
-    if (epoll_fd_ >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
-    (void)fd;
-}
-
 bool EventLoop::add(int fd, std::uint32_t interest, IoCallback callback) {
     if (fd < 0 || !callback || entries_.contains(fd)) return false;
-    if (!backend_add(fd, interest)) return false;
-    entries_.emplace(fd, Entry{interest, std::move(callback), ++generation_});
+    if (!epoll_set(epoll_fd_, EPOLL_CTL_ADD, fd, interest)) return false;
+    entries_.emplace(fd, Entry{std::move(callback), ++generation_});
     return true;
 }
 
 bool EventLoop::modify(int fd, std::uint32_t interest) {
-    auto it = entries_.find(fd);
-    if (it == entries_.end()) return false;
-    if (!backend_modify(fd, interest)) return false;
-    it->second.interest = interest;
-    return true;
+    return entries_.contains(fd) && epoll_set(epoll_fd_, EPOLL_CTL_MOD, fd, interest);
 }
 
 void EventLoop::remove(int fd) {
     auto it = entries_.find(fd);
     if (it == entries_.end()) return;
-    backend_remove(fd);
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
     entries_.erase(it);
 }
 
@@ -139,8 +73,8 @@ void EventLoop::dispatch(const std::vector<ReadyEvent>& ready) {
         // A previous callback may have removed this fd — or closed it and a
         // later callback reused the number (accept handing out the same fd).
         // The generation stamped when readiness was captured detects both:
-        // invoke only the entry that was registered when the backend
-        // reported the fd ready, never a newer registration.
+        // invoke only the entry that was registered when epoll reported the
+        // fd ready, never a newer registration.
         auto it = entries_.find(event.fd);
         if (it == entries_.end() || it->second.generation != event.generation)
             continue;
@@ -152,37 +86,17 @@ void EventLoop::dispatch(const std::vector<ReadyEvent>& ready) {
 }
 
 int EventLoop::poll_once(int timeout_ms) {
-#if MVREJU_NET_HAVE_EPOLL
-    if (epoll_fd_ >= 0) {
-        epoll_event events[64];
-        const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-        if (n < 0) return errno == EINTR ? 0 : -1;
-        std::vector<ReadyEvent> ready;
-        ready.reserve(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            const int fd = events[i].data.fd;  // copy out of the packed union
-            const auto it = entries_.find(fd);
-            if (it == entries_.end()) continue;  // unregistered straggler
-            ready.push_back(
-                ReadyEvent{fd, from_epoll(events[i].events), it->second.generation});
-        }
-        dispatch(ready);
-        return n;
-    }
-#endif
-    std::vector<pollfd> fds;
-    fds.reserve(entries_.size());
-    for (const auto& [fd, entry] : entries_)
-        fds.push_back(pollfd{fd, to_poll(entry.interest), 0});
-    const int n = ::poll(fds.data(), fds.size(), timeout_ms);
+    epoll_event events[64];
+    const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
     if (n < 0) return errno == EINTR ? 0 : -1;
-    if (n == 0) return 0;
     std::vector<ReadyEvent> ready;
     ready.reserve(static_cast<std::size_t>(n));
-    for (const pollfd& p : fds)
-        if (p.revents != 0)
-            ready.push_back(
-                ReadyEvent{p.fd, from_poll(p.revents), entries_.at(p.fd).generation});
+    for (int i = 0; i < n; ++i) {
+        const int fd = events[i].data.fd;  // copy out of the packed union
+        const auto it = entries_.find(fd);
+        if (it == entries_.end()) continue;  // unregistered straggler
+        ready.push_back(ReadyEvent{fd, from_epoll(events[i].events), it->second.generation});
+    }
     dispatch(ready);
     return n;
 }

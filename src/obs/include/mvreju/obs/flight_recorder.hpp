@@ -49,17 +49,14 @@ namespace mvreju::obs {
 /// What happened. Payload doubles `a`/`b` are kind-specific; the table in
 /// DESIGN.md section 8 is the authoritative contract.
 enum class EventKind : std::uint16_t {
-    frame = 0,           ///< a frame completed; a = frame duration ms
-    vote_decided,        ///< a = proposals posted, b = proposals agreeing/responded
+    vote_decided = 0,    ///< a = proposals posted, b = proposals agreeing/responded
     vote_skipped,        ///< voter disagreement; a = posted, b = responded
     vote_no_output,      ///< no functional module; a = posted
-    deadline_miss,       ///< module missed its deadline; a = deadline ms
     module_state,        ///< health transition; a = new state, b = old state
-    rejuvenation_start,  ///< a = cause (0 manual, 1 reactive, 2 proactive), b = wedged
-    rejuvenation_end,    ///< a = cause, b = wedged
+    rejuvenation_start,  ///< a = cause (0 manual, 1 reactive, 2 proactive)
+    rejuvenation_end,    ///< a = cause
     collision,           ///< av: ego overlaps an NPC; a = ego speed, b = first (0/1)
     hazard,              ///< av: decided hazard bucket; a = voted, b = ground truth
-    planner_override,    ///< av: command held; a = vote kind
     injection,           ///< fi: fault injected; a = accuracy drop, b = faulty accuracy
     slo_breach,          ///< latency above budget; a = observed ms, b = budget ms
     custom,              ///< application-defined

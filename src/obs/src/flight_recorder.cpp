@@ -57,17 +57,14 @@ std::string fmt_payload(double v) {
 
 const char* event_kind_name(EventKind kind) noexcept {
     switch (kind) {
-        case EventKind::frame: return "frame";
         case EventKind::vote_decided: return "vote_decided";
         case EventKind::vote_skipped: return "vote_skipped";
         case EventKind::vote_no_output: return "vote_no_output";
-        case EventKind::deadline_miss: return "deadline_miss";
         case EventKind::module_state: return "module_state";
         case EventKind::rejuvenation_start: return "rejuvenation_start";
         case EventKind::rejuvenation_end: return "rejuvenation_end";
         case EventKind::collision: return "collision";
         case EventKind::hazard: return "hazard";
-        case EventKind::planner_override: return "planner_override";
         case EventKind::injection: return "injection";
         case EventKind::slo_breach: return "slo_breach";
         case EventKind::custom: return "custom";

@@ -34,7 +34,6 @@ Session::Session(const util::Args& args, std::string default_metrics_path)
         // Default trigger set: the postmortem moments of the paper's fault
         // model. Rejuvenations are recorded but deliberately not triggers —
         // they are routine in a healthy system and would eat the dump limit.
-        recorder.set_trigger(EventKind::deadline_miss, true);
         recorder.set_trigger(EventKind::vote_skipped, true);
         recorder.set_trigger(EventKind::vote_no_output, true);
         recorder.set_trigger(EventKind::collision, true);

@@ -1,8 +1,9 @@
 // Tests for the net layer the exporter and the serving layer share: the
-// EventLoop's registration bookkeeping and dispatch safety on both backends
-// (epoll and forced poll), cross-thread stop() waking a parked loop, and a
-// full Listener + Conn echo round trip per backend on an accepted socket
-// that carries TCP_NODELAY.
+// EventLoop's registration bookkeeping and dispatch safety (a callback
+// removing a registration, or reusing a closed fd's number, mid-dispatch),
+// an epoll_create1 failure reported as an error, cross-thread stop() waking
+// a parked loop, and a full Listener + Conn echo round trip on an accepted
+// socket that carries TCP_NODELAY.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -64,34 +66,31 @@ TEST(NetEventLoopTest, RegistrationBookkeeping) {
 }
 
 TEST(NetEventLoopTest, DispatchesReadableAndHonoursTimeout) {
-    for (const auto backend :
-         {net::EventLoop::Backend::automatic, net::EventLoop::Backend::poll}) {
-        net::EventLoop loop(backend);
-        int pipe_fds[2];
-        ASSERT_EQ(::pipe(pipe_fds), 0);
-        int calls = 0;
-        std::uint32_t seen = 0;
-        ASSERT_TRUE(loop.add(pipe_fds[0], net::kReadable, [&](std::uint32_t ready) {
-            ++calls;
-            seen = ready;
-            char sink[8];
-            EXPECT_GT(::read(pipe_fds[0], sink, sizeof sink), 0);
-        }));
+    net::EventLoop loop;
+    int pipe_fds[2];
+    ASSERT_EQ(::pipe(pipe_fds), 0);
+    int calls = 0;
+    std::uint32_t seen = 0;
+    ASSERT_TRUE(loop.add(pipe_fds[0], net::kReadable, [&](std::uint32_t ready) {
+        ++calls;
+        seen = ready;
+        char sink[8];
+        EXPECT_GT(::read(pipe_fds[0], sink, sizeof sink), 0);
+    }));
 
-        EXPECT_EQ(loop.poll_once(0), 0);  // nothing ready yet
-        ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
-        EXPECT_GE(loop.poll_once(1000), 1);
-        EXPECT_EQ(calls, 1);
-        EXPECT_TRUE(seen & net::kReadable);
+    EXPECT_EQ(loop.poll_once(0), 0);  // nothing ready yet
+    ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
+    EXPECT_GE(loop.poll_once(1000), 1);
+    EXPECT_EQ(calls, 1);
+    EXPECT_TRUE(seen & net::kReadable);
 
-        ::close(pipe_fds[1]);
-        ::close(pipe_fds[0]);
-        loop.remove(pipe_fds[0]);
-    }
+    ::close(pipe_fds[1]);
+    ::close(pipe_fds[0]);
+    loop.remove(pipe_fds[0]);
 }
 
 TEST(NetEventLoopTest, CallbackMayRemoveItselfDuringDispatch) {
-    net::EventLoop loop(net::EventLoop::Backend::poll);
+    net::EventLoop loop;
     int a[2];
     int b[2];
     ASSERT_EQ(::pipe(a), 0);
@@ -116,6 +115,77 @@ TEST(NetEventLoopTest, CallbackMayRemoveItselfDuringDispatch) {
     for (int fd : {a[0], a[1], b[0], b[1]}) ::close(fd);
 }
 
+TEST(NetEventLoopTest, ReusedFdNumberIsNotDispatchedStaleReadiness) {
+    net::EventLoop loop;
+    int a[2];
+    int b[2];
+    int fresh[2];
+    ASSERT_EQ(::pipe(a), 0);
+    ASSERT_EQ(::pipe(b), 0);
+    ASSERT_EQ(::pipe(fresh), 0);
+    int original_calls = 0;
+    int fresh_calls = 0;
+    int reused = -1;
+    // Both pipes become readable in the same poll. Whichever callback runs
+    // first closes the other pipe's read end and registers the fresh pipe's
+    // read end under that fd number (dup2 closes and reuses the number in one
+    // step, as accept() handing out a just-closed number would). The
+    // readiness captured for the closed pipe must not reach the newcomer.
+    auto original = [&](int self, int other) {
+        return [&, self, other](std::uint32_t) {
+            ++original_calls;
+            char sink[8];
+            EXPECT_GT(::read(self, sink, sizeof sink), 0);
+            if (reused >= 0) return;
+            reused = other;
+            loop.remove(other);
+            ASSERT_EQ(::dup2(fresh[0], other), other);
+            ASSERT_TRUE(
+                loop.add(other, net::kReadable, [&](std::uint32_t) { ++fresh_calls; }));
+        };
+    };
+    ASSERT_TRUE(loop.add(a[0], net::kReadable, original(a[0], b[0])));
+    ASSERT_TRUE(loop.add(b[0], net::kReadable, original(b[0], a[0])));
+    ASSERT_EQ(::write(a[1], "x", 1), 1);
+    ASSERT_EQ(::write(b[1], "x", 1), 1);
+    ASSERT_EQ(loop.poll_once(1000), 2);  // both ready in one dispatch
+    EXPECT_EQ(original_calls, 1);
+    ASSERT_GE(reused, 0);
+    EXPECT_EQ(fresh_calls, 0);  // the stale readiness was not dispatched
+
+    // The new registration still receives its own readiness.
+    ASSERT_EQ(::write(fresh[1], "y", 1), 1);
+    EXPECT_EQ(loop.poll_once(1000), 1);
+    EXPECT_EQ(fresh_calls, 1);
+    EXPECT_EQ(original_calls, 1);
+    for (int fd : {a[0], a[1], b[0], b[1], fresh[0], fresh[1]}) ::close(fd);
+}
+
+TEST(NetEventLoopTest, EpollCreateFailureIsReported) {
+    // With no fd numbers to hand out, epoll_create1 fails in the constructor.
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit none = saved;
+    none.rlim_cur = 0;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &none), 0);
+    net::EventLoop loop;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+    // The failure surfaces through add(), poll_once() and Listener::open;
+    // nothing falls back to another readiness call.
+    int pipe_fds[2];
+    ASSERT_EQ(::pipe(pipe_fds), 0);
+    EXPECT_FALSE(loop.add(pipe_fds[0], net::kReadable, [](std::uint32_t) {}));
+    EXPECT_FALSE(loop.watching(pipe_fds[0]));
+    EXPECT_EQ(loop.poll_once(0), -1);
+    std::string error;
+    EXPECT_EQ(net::Listener::open(loop, net::ListenerOptions{}, [](int) {}, &error),
+              nullptr);
+    EXPECT_EQ(error, "event loop refused the listening fd");
+    ::close(pipe_fds[0]);
+    ::close(pipe_fds[1]);
+}
+
 TEST(NetEventLoopTest, StopFromAnotherThreadWakesParkedLoop) {
     net::EventLoop loop;
     const auto start = std::chrono::steady_clock::now();
@@ -133,53 +203,47 @@ TEST(NetEventLoopTest, StopFromAnotherThreadWakesParkedLoop) {
     EXPECT_FALSE(loop.stop_requested());
 }
 
-TEST(NetEventLoopTest, ListenerConnEchoOnBothBackends) {
-    for (const auto backend :
-         {net::EventLoop::Backend::automatic, net::EventLoop::Backend::poll}) {
-        net::EventLoop loop(backend);
-#if defined(__linux__)
-        EXPECT_EQ(loop.using_epoll(), backend == net::EventLoop::Backend::automatic);
-#endif
-        std::string error;
-        auto listener = net::Listener::open(
-            loop, net::ListenerOptions{},
-            [&loop](int fd) {
-                // Every accepted socket, the exporter's included, gets
-                // TCP_NODELAY from the Listener.
-                int nodelay = 0;
-                socklen_t len = sizeof nodelay;
-                EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
-                EXPECT_EQ(nodelay, 1);
-                auto conn = net::Conn::adopt(loop, fd, [](net::Conn& c) {
-                    // Echo and close once a full line arrived.
-                    if (c.rx().find('\n') == std::string::npos) return;
-                    c.send(c.rx());
-                    c.rx().clear();
-                    c.close_after_send();
-                });
-                ASSERT_NE(conn, nullptr);
-            },
-            &error);
-        ASSERT_NE(listener, nullptr) << error;
-        ASSERT_GT(listener->port(), 0);
+TEST(NetEventLoopTest, ListenerConnEcho) {
+    net::EventLoop loop;
+    std::string error;
+    auto listener = net::Listener::open(
+        loop, net::ListenerOptions{},
+        [&loop](int fd) {
+            // Every accepted socket, the exporter's included, gets
+            // TCP_NODELAY from the Listener.
+            int nodelay = 0;
+            socklen_t len = sizeof nodelay;
+            EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+            EXPECT_EQ(nodelay, 1);
+            auto conn = net::Conn::adopt(loop, fd, [](net::Conn& c) {
+                // Echo and close once a full line arrived.
+                if (c.rx().find('\n') == std::string::npos) return;
+                c.send(c.rx());
+                c.rx().clear();
+                c.close_after_send();
+            });
+            ASSERT_NE(conn, nullptr);
+        },
+        &error);
+    ASSERT_NE(listener, nullptr) << error;
+    ASSERT_GT(listener->port(), 0);
 
-        std::thread service([&loop] { loop.run(10); });
-        const int fd = connect_to(listener->port());
-        const std::string message = "ping over the event loop\n";
-        ASSERT_EQ(::send(fd, message.data(), message.size(), 0),
-                  static_cast<ssize_t>(message.size()));
-        std::string reply;
-        char buf[256];
-        for (;;) {
-            const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-            if (n <= 0) break;  // server closed after echoing
-            reply.append(buf, static_cast<std::size_t>(n));
-        }
-        EXPECT_EQ(reply, message);
-        ::close(fd);
-        loop.stop();
-        service.join();
+    std::thread service([&loop] { loop.run(10); });
+    const int fd = connect_to(listener->port());
+    const std::string message = "ping over the event loop\n";
+    ASSERT_EQ(::send(fd, message.data(), message.size(), 0),
+              static_cast<ssize_t>(message.size()));
+    std::string reply;
+    char buf[256];
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n <= 0) break;  // server closed after echoing
+        reply.append(buf, static_cast<std::size_t>(n));
     }
+    EXPECT_EQ(reply, message);
+    ::close(fd);
+    loop.stop();
+    service.join();
 }
 
 TEST(NetEventLoopTest, ListenerRejectsBadOptions) {

@@ -41,7 +41,7 @@ TEST_F(ObsFlightRecorderTest, RecordRoundtripPreservesOrderAndFields) {
     FlightRecorder recorder;
     recorder.set_enabled(true);
     recorder.record_at(100, EventKind::vote_decided, 1, 0, 3.0, 3.0);
-    recorder.record_at(200, EventKind::deadline_miss, 2, 1, 100.0, 0.0);
+    recorder.record_at(200, EventKind::slo_breach, 2, 1, 100.0, 50.0);
     recorder.record_at(300, EventKind::collision, 3, 0, 7.5, 1.0);
 
     const auto threads = recorder.snapshot();
@@ -95,28 +95,28 @@ TEST_F(ObsFlightRecorderTest, TriggerWritesAValidPostmortemDocument) {
     FlightRecorder recorder;
     recorder.set_enabled(true);
     recorder.set_dump_dir(::testing::TempDir());
-    recorder.set_trigger(EventKind::deadline_miss, true);
+    recorder.set_trigger(EventKind::slo_breach, true);
 
     for (int i = 0; i < 5; ++i)
         recorder.record_at(100 + i, EventKind::vote_decided, i, 0, 3.0, 3.0);
     EXPECT_EQ(recorder.trigger_dumps(), 0u);
-    recorder.record_at(200, EventKind::deadline_miss, 5, 2, 100.0, 1.0);
+    recorder.record_at(200, EventKind::slo_breach, 5, 2, 100.0, 50.0);
     ASSERT_EQ(recorder.trigger_dumps(), 1u);
 
     const std::string path = recorder.last_dump_path();
     ASSERT_FALSE(path.empty());
     const util::Json doc = util::Json::parse(read_file(path));
-    EXPECT_EQ(doc.at("reason").str(), "deadline_miss");
+    EXPECT_EQ(doc.at("reason").str(), "slo_breach");
     EXPECT_FALSE(doc.at("meta").at("git_sha").str().empty());
     EXPECT_FALSE(doc.at("meta").at("compiler").str().empty());
     const util::Json& trigger = doc.at("trigger");
-    EXPECT_EQ(trigger.at("kind").str(), "deadline_miss");
+    EXPECT_EQ(trigger.at("kind").str(), "slo_breach");
     EXPECT_EQ(trigger.at("frame").number(), 5.0);
     EXPECT_EQ(trigger.at("module").number(), 2.0);
     EXPECT_EQ(trigger.at("a").number(), 100.0);
     const util::Json& threads = doc.at("threads");
     ASSERT_EQ(threads.size(), 1u);
-    // 5 votes + the miss itself are all in the black box.
+    // 5 votes + the breach itself are all in the black box.
     EXPECT_EQ(threads.at(0).at("events").size(), 6u);
     EXPECT_NE(doc.find("metrics"), nullptr);
     std::remove(path.c_str());

@@ -23,14 +23,14 @@ namespace pm = mvreju::obs::postmortem;
 // meta, trigger, two modules on one thread, and embedded metrics counters.
 const char kFixture[] = R"({
 "meta": {"git_sha": "abc1234", "build_type": "Release", "compiler": "g++ 13.2"},
-"reason": "deadline_miss",
+"reason": "slo_breach",
 "dumped_at_ns": 999,
-"trigger": {"t_ns": 3000000, "frame": 3, "module": 1, "kind": "deadline_miss", "a": 100, "b": 0},
+"trigger": {"t_ns": 3000000, "frame": 3, "module": 1, "kind": "slo_breach", "a": 100, "b": 50},
 "threads": [
  {"track": 1, "events": [
   {"t_ns": 1000000, "frame": 1, "module": 0, "kind": "vote_decided", "a": 3, "b": 3},
   {"t_ns": 2000000, "frame": 2, "module": 1, "kind": "module_state", "a": 1, "b": 0},
-  {"t_ns": 3000000, "frame": 3, "module": 1, "kind": "deadline_miss", "a": 100, "b": 0},
+  {"t_ns": 3000000, "frame": 3, "module": 1, "kind": "slo_breach", "a": 100, "b": 50},
   {"t_ns": 4000000, "frame": 4, "module": 0, "kind": "vote_skipped", "a": 3, "b": 1}
  ]}
 ],
@@ -39,13 +39,13 @@ const char kFixture[] = R"({
 
 TEST(ObsPostmortemTest, ParseRecoversStructureAndSortsEvents) {
     const pm::Dump dump = pm::parse(kFixture);
-    EXPECT_EQ(dump.reason, "deadline_miss");
+    EXPECT_EQ(dump.reason, "slo_breach");
     EXPECT_EQ(dump.git_sha, "abc1234");
     EXPECT_EQ(dump.build_type, "Release");
     EXPECT_EQ(dump.compiler, "g++ 13.2");
     EXPECT_EQ(dump.thread_count, 1u);
     ASSERT_TRUE(dump.trigger.has_value());
-    EXPECT_EQ(dump.trigger->kind, "deadline_miss");
+    EXPECT_EQ(dump.trigger->kind, "slo_breach");
     EXPECT_EQ(dump.trigger->a, 100.0);
     ASSERT_EQ(dump.events.size(), 4u);
     for (std::size_t i = 1; i < dump.events.size(); ++i)
@@ -65,9 +65,9 @@ TEST(ObsPostmortemTest, ParseRejectsMalformedDumps) {
 
 TEST(ObsPostmortemTest, RenderMatchesTheGoldenTimeline) {
     const std::string golden =
-        "postmortem: reason=deadline_miss  events=4  threads=1\n"
+        "postmortem: reason=slo_breach  events=4  threads=1\n"
         "build: abc1234 (Release, g++ 13.2)\n"
-        "trigger: deadline_miss at +2.000ms frame 3 module 1 (a=100, b=0)\n"
+        "trigger: slo_breach at +2.000ms frame 3 module 1 (a=100, b=50)\n"
         "\n"
         "module 0 (2 events):\n"
         "  +0.000ms       frame 1      vote_decided        a=3 b=3\n"
@@ -75,11 +75,11 @@ TEST(ObsPostmortemTest, RenderMatchesTheGoldenTimeline) {
         "\n"
         "module 1 (2 events):\n"
         "  +1.000ms       frame 2      module_state        a=1 b=0\n"
-        "  +2.000ms       frame 3      deadline_miss       a=100 b=0   <<< TRIGGER\n"
+        "  +2.000ms       frame 3      slo_breach          a=100 b=50   <<< TRIGGER\n"
         "\n"
         "event counts around trigger (before / at-or-after):\n"
-        "  deadline_miss            0      1\n"
         "  module_state             1      0\n"
+        "  slo_breach               0      1\n"
         "  vote_decided             1      0\n"
         "  vote_skipped             0      1\n"
         "\n"
